@@ -335,19 +335,17 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     report = classify(params.alpha, params.gamma1, params.gamma2)
     forced = args.force_test
-    if forced is None and report.fluctuation in (Fluctuation.BOUNDARY, Fluctuation.UNCLASSIFIED):
+    # The LLN ladders need no normalization plan, so only they run at a boundary.
+    lln_mode = {"lln-full": "full_mean", "lln-light": "light_mean"}.get(forced)
+    if lln_mode is None and report.fluctuation in (Fluctuation.BOUNDARY, Fluctuation.UNCLASSIFIED):
         print("error: boundary point, no limit statement applies", file=sys.stderr)
         return EXIT_BOUNDARY
 
-    if forced in ("lln-full", "lln-light"):
-        mode = "full_mean" if forced == "lln-full" else "light_mean"
-        rungs = _verify_lln(params, args, mode)
+    if lln_mode is not None:
+        rungs = _verify_lln(params, args, lln_mode)
         test_name = rungs[0]["test"]
     else:
         test_name = forced if forced is not None else _auto_test(report)
-        if report.fluctuation in (Fluctuation.BOUNDARY, Fluctuation.UNCLASSIFIED):
-            print("error: boundary point, no limit statement applies", file=sys.stderr)
-            return EXIT_BOUNDARY
         rungs = []
         for n in args.n_ladder:
             inst = derive_instance(params, n)

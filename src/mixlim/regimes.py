@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .diagnostics import centering_a_n
 from .model import InstanceParams, ModelParams, mean_z, mu1, var_z
 from .stable_limit import StableLimitSpec
 
@@ -172,9 +173,10 @@ def normalization_plan(params: ModelParams, inst: InstanceParams, report: Regime
     CLT_LIGHT_PART   (n/lam, sqrt(n)/lam, standard normal)
     STABLE, a < 1    scale beta_n = n**((1-gamma2)/alpha); center and
                      compensation depend on the stable branch
-    STABLE, a >= 1   (n mean_Z, n**((1-gamma2)/alpha), compensated reference
-                     shifted by alpha/(1-alpha) so its mean is zero; zero
-                     shift at alpha = 1)
+    STABLE, a > 1    (n mean_Z, n**((1-gamma2)/alpha), compensated reference
+                     shifted by alpha/(1-alpha) so its mean is zero)
+    STABLE, a = 1    (n E[Z 1{Z <= beta_n}], beta_n = n**(1-gamma2),
+                     unshifted compensated reference)
     """
     if report.fluctuation in (Fluctuation.BOUNDARY, Fluctuation.UNCLASSIFIED):
         raise ValueError(
@@ -215,13 +217,18 @@ def normalization_plan(params: ModelParams, inst: InstanceParams, report: Regime
             stable_compensated=compensated,
         )
 
-    # alpha >= 1: center at the exact mean.  The compensated reference has
+    # alpha > 1: center at the exact mean.  The compensated reference has
     # mean alpha/(alpha-1); shifting by alpha/(1-alpha) recentres it at zero,
-    # matching the exactly-centered statistic.  At alpha = 1 the exponent is
-    # evaluated numerically and no shift is applied.
-    shift = 0.0 if alpha == 1.0 else alpha / (1.0 - alpha)
+    # matching the exactly-centered statistic.  At alpha = 1 the limit has no
+    # mean and n mean_Z drifts from it by (gamma1+gamma2-1) ln n scale units;
+    # the truncated mean n E[Z 1{Z <= beta_n}] truncates exactly at the
+    # compensation window of the unshifted reference (Feller II, XVII.5).
+    if alpha == 1.0:
+        center, shift = beta_n * centering_a_n(params, inst, beta_n), 0.0
+    else:
+        center, shift = n * mean_z(params, inst), alpha / (1.0 - alpha)
     return NormalizationPlan(
-        center=n * mean_z(params, inst),
+        center=center,
         scale=beta_n,
         limit="stable",
         stable_spec=StableLimitSpec(alpha=alpha, tail_const=1.0, shift=shift),

@@ -11,14 +11,16 @@ Two variants are evaluated:
   alpha < 1 this equals the uncompensated law translated left by
   tail_const * alpha / (1 - alpha), the mass of the compensation window.
 
-Closed forms are used for alpha != 1 via the principal branch of
-Gamma(-alpha) * (-iu)**alpha; alpha = 1 is handled numerically end to end
-(quadrature exponent, inversion sampling).
+The exponent is in closed form at every alpha: for alpha != 1 via the
+principal branch of Gamma(-alpha) * (-iu)**alpha, and at alpha = 1 (where
+only the compensated law exists) via the logarithmic form of Sato, "Levy
+Processes and Infinitely Divisible Distributions", Lemma 14.11.  In Nolan's
+S1 parametrization the alpha = 1 law is S(1, beta=1, sigma=tail_const*pi/2,
+mu=tail_const*(1 - Euler gamma) + shift).  All samplers are exact.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -76,7 +78,9 @@ def char_exponent(u, spec: StableLimitSpec, compensated: bool):
         psi(u) = -tail_const * Gamma(1-alpha) * (-iu)**alpha
                  [- iu * tail_const * alpha/(1-alpha) if compensated]
                  + iu * shift;
-    alpha = 1 is evaluated by adaptive quadrature.
+    for alpha = 1 (compensated only) it is
+        psi(u) = tail_const * (-(pi/2)|u| - iu ln|u| + iu (1 - Euler gamma))
+                 + iu * shift.
     """
     _check_compensation(spec, compensated)
     alpha = spec.alpha
@@ -86,10 +90,8 @@ def char_exponent(u, spec: StableLimitSpec, compensated: bool):
     u_flat = np.atleast_1d(u_arr)
 
     if alpha == 1.0:
-        psi = np.array(
-            [_char_exponent_quad(float(v), alpha, c, compensated) for v in u_flat],
-            dtype=np.complex128,
-        )
+        log_abs = np.log(np.abs(u_flat), out=np.zeros_like(u_flat), where=u_flat != 0.0)
+        psi = c * (-(np.pi / 2.0) * np.abs(u_flat) + 1j * u_flat * (1.0 - np.euler_gamma - log_abs))
     else:
         psi = -c * _gamma_fn(1.0 - alpha) * _minus_iu_pow(u_flat, alpha)
         if compensated:
@@ -98,145 +100,12 @@ def char_exponent(u, spec: StableLimitSpec, compensated: bool):
     return complex(psi[0]) if scalar else psi.reshape(u_arr.shape)
 
 
-@functools.lru_cache(maxsize=32)
-def _fourier_tail_constants(alpha: float) -> tuple[float, float, float]:
-    """(int_1^inf cos(t) t^{-1-a} dt, same with sin, error estimate)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        k_cos, e_cos = integrate.quad(
-            lambda t: t ** (-1.0 - alpha), 1.0, np.inf,
-            weight="cos", wvar=1.0, epsabs=1e-13, limit=400, limlst=400,
-        )
-        k_sin, e_sin = integrate.quad(
-            lambda t: t ** (-1.0 - alpha), 1.0, np.inf,
-            weight="sin", wvar=1.0, epsabs=1e-13, limit=400, limlst=400,
-        )
-    return k_cos, k_sin, e_cos + e_sin
-
-
-def _char_exponent_quad(u: float, alpha: float, c: float, compensated: bool) -> complex:
-    """Exponent (without shift) by quadrature; used for the alpha = 1 path."""
-    if u == 0.0:
-        return 0.0 + 0.0j
-    if u < 0.0:
-        return complex(np.conj(_char_exponent_quad(-u, alpha, c, compensated)))
-
-    ac = alpha * c
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        re_inner, re_inner_err = integrate.quad(
-            lambda x: (math.cos(u * x) - 1.0) * x ** (-1.0 - alpha), 0.0, 1.0,
-            epsabs=1e-12, epsrel=1e-10, limit=200,
-        )
-        if compensated:
-            im_inner, im_inner_err = integrate.quad(
-                lambda x: (math.sin(u * x) - u * x) * x ** (-1.0 - alpha), 0.0, 1.0,
-                epsabs=1e-12, epsrel=1e-10, limit=200,
-            )
-        else:
-            im_inner, im_inner_err = integrate.quad(
-                lambda x: math.sin(u * x) * x ** (-1.0 - alpha), 0.0, 1.0,
-                epsabs=1e-12, epsrel=1e-10, limit=200,
-            )
-        if u >= 1.0:
-            re_osc, re_osc_err = integrate.quad(
-                lambda x: x ** (-1.0 - alpha), 1.0, np.inf,
-                weight="cos", wvar=u, epsabs=1e-12, limit=200, limlst=200,
-            )
-            im_osc, im_osc_err = integrate.quad(
-                lambda x: x ** (-1.0 - alpha), 1.0, np.inf,
-                weight="sin", wvar=u, epsabs=1e-12, limit=200, limlst=200,
-            )
-        else:
-            # Small u: substitute t = u x so the oscillatory weight routine
-            # never sees a near-zero frequency; the [1, inf) piece in t is
-            # u-independent and cached, and the 1/t^(1+alpha) singular mass
-            # over [u, 1] is taken out exactly to avoid cancellation.
-            k_cos, k_sin, k_err = _fourier_tail_constants(alpha)
-            seg_cos_reg, seg_cos_err = integrate.quad(
-                lambda t: (math.cos(t) - 1.0) * t ** (-1.0 - alpha), u, 1.0,
-                epsabs=1e-12, epsrel=1e-10, limit=200,
-            )
-            seg_cos = seg_cos_reg + (u**-alpha - 1.0) / alpha
-            seg_sin, seg_sin_err = integrate.quad(
-                lambda t: math.sin(t) * t ** (-1.0 - alpha), u, 1.0,
-                epsabs=1e-12, epsrel=1e-10, limit=200,
-            )
-            scale = u**alpha
-            re_osc = scale * (seg_cos + k_cos)
-            im_osc = scale * (seg_sin + k_sin)
-            re_osc_err = scale * (seg_cos_err + k_err)
-            im_osc_err = scale * (seg_sin_err + k_err)
-    # int_1^inf (cos - 1) = oscillatory part minus the tail mass 1/alpha.
-    real = ac * (re_inner + re_osc) - c
-    imag = ac * (im_inner + im_osc)
-    total_err = ac * (re_inner_err + re_osc_err + im_inner_err + im_osc_err)
-    if not math.isfinite(total_err) or total_err > 1e-8 * (1.0 + abs(real) + abs(imag)):
-        raise ArithmeticError(
-            f"exponent quadrature did not converge at u={u} "
-            f"(alpha={alpha}, error estimate {total_err:.3e})"
-        )
-    return complex(real, imag)
-
-
 def _bulk_decay_const(spec: StableLimitSpec) -> float:
-    """A > 0 with Re psi(u) = -A |u|**alpha (alpha != 1)."""
+    """A > 0 with Re psi(u) = -A |u|**alpha."""
     alpha = spec.alpha
+    if alpha == 1.0:
+        return spec.tail_const * math.pi / 2.0
     return spec.tail_const * _gamma_fn(1.0 - alpha) * math.cos(alpha * math.pi / 2.0)
-
-
-@functools.lru_cache(maxsize=16)
-def _alpha_one_splines(tail_const: float, compensated: bool):
-    """Cubic splines of the alpha = 1 exponent over log(u), u > 0 (no shift).
-
-    Returns (log_grid, re_spline, im_spline, u_max) with u_max the truncation
-    point where exp(Re psi) falls below the inversion tolerance.
-    """
-    from scipy.interpolate import CubicSpline
-
-    u_hi = 64.0 / tail_const
-    grid = np.logspace(-9.0, math.log10(u_hi), 900)
-    psi = np.array(
-        [_char_exponent_quad(float(v), 1.0, tail_const, compensated) for v in grid],
-        dtype=np.complex128,
-    )
-    log_grid = np.log(grid)
-    re_spline = CubicSpline(log_grid, psi.real)
-    im_spline = CubicSpline(log_grid, psi.imag)
-    below = np.nonzero(psi.real < math.log(_TRUNCATION_TOL))[0]
-    if below.size == 0:
-        raise ArithmeticError("alpha = 1 exponent table never reaches the truncation tolerance")
-    u_max = float(grid[below[0]])
-    return log_grid, re_spline, im_spline, u_max
-
-
-def _make_phi(spec: StableLimitSpec, compensated: bool):
-    """Vectorized u -> exp(psi(u)) plus the truncation point u_max for inversion."""
-    alpha = spec.alpha
-    if alpha != 1.0:
-        decay = _bulk_decay_const(spec)
-        u_max = (-math.log(_TRUNCATION_TOL) / decay) ** (1.0 / alpha)
-
-        def phi(u):
-            return np.exp(char_exponent(u, spec, compensated))
-
-        return phi, u_max
-
-    log_grid, re_spline, im_spline, u_max = _alpha_one_splines(spec.tail_const, compensated)
-    u_floor = math.exp(log_grid[0])
-
-    def phi(u):
-        u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        mag = np.abs(u_arr)
-        safe = np.maximum(mag, u_floor)
-        re = re_spline(np.log(safe))
-        im = np.sign(u_arr) * im_spline(np.log(safe))
-        # |psi| < 3e-8 below the grid floor; treat it as zero there.
-        re = np.where(mag < u_floor, 0.0, re)
-        im = np.where(mag < u_floor, 0.0, im)
-        return np.exp(re + 1j * (im + u_arr * spec.shift))
-
-    return phi, u_max
 
 
 def support_lower_bound(spec: StableLimitSpec, compensated: bool) -> float:
@@ -267,11 +136,11 @@ def cdf(x, spec: StableLimitSpec, compensated: bool):
     if xv <= lower:
         return 0.0
 
-    phi, u_max = _make_phi(spec, compensated)
+    u_max = (-math.log(_TRUNCATION_TOL) / _bulk_decay_const(spec)) ** (1.0 / spec.alpha)
     u_split = min(1.0, 1.0 / max(1.0, abs(xv)))
 
     def phi_scalar(u):
-        return complex(np.asarray(phi(u)).reshape(-1)[0])
+        return complex(np.exp(char_exponent(u, spec, compensated)))
 
     def integrand_small(u):
         return (phi_scalar(u) * complex(math.cos(u * xv), -math.sin(u * xv))).imag / u
@@ -342,41 +211,21 @@ def _cms_spectrally_positive(rng, alpha: float, size: int) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _alpha_one_inversion_table(tail_const: float, shift: float, compensated: bool):
-    """Monotone (F, x) table for alpha = 1 inverse-CDF sampling.
+def _cms_alpha_one(rng, size: int) -> np.ndarray:
+    """Chambers-Mallows-Stuck variates, alpha = 1, skewness +1, unit scale.
 
-    Covers quantile levels [1e-4, 1 - 1e-4]; draws outside are clipped to the
-    table ends, which perturbs at most 2e-4 of the probability mass.
+    Weron's formula X = (2/pi) [(pi/2 + V) tan V - ln((pi/2) W cos V / (pi/2
+    + V))] gives S_1(sigma=1, beta=1, mu=0) with characteristic function
+    exp(-|u| - i (2/pi) u ln|u|).  With V = pi (U - 1/2), pi/2 + V = pi U and
+    cos V = sin(pi U) are formed directly, so no draw cancels to zero; two
+    uniforms per draw.
     """
-    spec = StableLimitSpec(alpha=1.0, tail_const=tail_const, shift=shift)
-
-    def f(x):
-        return cdf(x, spec, compensated)
-
-    lo, hi = -8.0 * tail_const + shift, 8.0 * tail_const + shift
-    for _ in range(60):
-        if f(lo) < 1e-4:
-            break
-        lo = shift + 2.0 * (lo - shift) - 1.0
-    else:
-        raise ArithmeticError("could not bracket the lower quantile for alpha = 1")
-    for _ in range(60):
-        if f(hi) > 1.0 - 1e-4:
-            break
-        hi = shift + 2.0 * (hi - shift) + 1.0
-    else:
-        raise ArithmeticError("could not bracket the upper quantile for alpha = 1")
-
-    # Dense near the body, log-spaced into the heavy right tail.
-    body = np.linspace(lo, shift + 4.0 * tail_const, 260)
-    tail = shift + np.logspace(
-        math.log10(4.0 * tail_const), math.log10(max(hi - shift, 8.0 * tail_const)), 140
-    )
-    xs = np.unique(np.concatenate([body, tail]))
-    fs = np.array([f(float(v)) for v in xs])
-    fs = np.maximum.accumulate(fs)  # clamp quadrature jitter; F is monotone
-    return fs, xs
+    u = rng.uniforms(2 * size)
+    a = np.pi * u[0::2]
+    w = -np.log(u[1::2])
+    cos_v = np.sin(a)
+    tan_v = -np.cos(a) / cos_v
+    return (2.0 / np.pi) * (a * tan_v - np.log((np.pi / 2.0) * w * cos_v / a))
 
 
 def sample_stable(rng, spec: StableLimitSpec, compensated: bool, size: int | None = None):
@@ -389,9 +238,13 @@ def sample_stable(rng, spec: StableLimitSpec, compensated: bool, size: int | Non
     alpha > 1  Chambers-Mallows-Stuck, scaled by (tail_const * Gamma(1-alpha)
                * cos(pi alpha / 2))**(1/alpha) and recentred by tail_const *
                alpha/(alpha-1), which matches exp(char_exponent) exactly;
-    alpha = 1  numeric inversion of the tabulated CDF (one uniform per draw).
+    alpha = 1  Chambers-Mallows-Stuck in Weron's form for beta = 1, giving
+               S(1, 1, sigma, mu) with sigma = tail_const * pi/2 and mu =
+               tail_const * (1 - Euler gamma) + shift, which matches
+               exp(char_exponent) exactly (compensated only).
 
-    Compensation subtracts tail_const * alpha/(1-alpha) (adds, for alpha > 1).
+    Every branch consumes two uniforms per draw.  For alpha != 1,
+    compensation subtracts tail_const * alpha/(1-alpha) (adds, for alpha > 1).
     Returns a scalar when ``size`` is None, else an array of length ``size``.
     """
     _check_compensation(spec, compensated)
@@ -408,12 +261,11 @@ def sample_stable(rng, spec: StableLimitSpec, compensated: bool, size: int | Non
         scale = _bulk_decay_const(spec) ** (1.0 / alpha)
         x = scale * _cms_spectrally_positive(rng, alpha, m)
     else:
-        fs, xs = _alpha_one_inversion_table(c, spec.shift, compensated)
-        u = rng.uniforms(m)
-        x = np.interp(u, fs, xs)
-        return float(x[0]) if size is None else x
+        # sigma X + (2/pi) sigma ln(sigma) + mu: Weron's rescaling at beta = 1
+        sigma = _bulk_decay_const(spec)
+        x = sigma * _cms_alpha_one(rng, m) + c * (math.log(sigma) + 1.0 - np.euler_gamma)
 
     x = x + spec.shift
-    if compensated:
+    if compensated and alpha != 1.0:
         x = x - c * alpha / (1.0 - alpha)
     return float(x[0]) if size is None else x

@@ -3,9 +3,13 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mixlim
 from mixlim.cli import main
 
 
@@ -194,6 +198,26 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_forced_normal_at_boundary_exits_2(self, capsys):
+        code, _, err = run(
+            capsys, "verify", "--alpha", "0.5", "--gamma1", "1", "--gamma2", "1.5",
+            "--n-ladder", "1000", "--reps", "100", "--force-test", "normal",
+        )
+        assert code == 2
+        assert "boundary" in err
+
+    @pytest.mark.parametrize("gamma2", ["0.3", "0.45"])
+    def test_alpha_one_stable_point_passes(self, capsys, tmp_path, gamma2):
+        """Truncated-mean centering against the exact compensated 1-stable law."""
+        out_file = tmp_path / "rep.json"
+        code, _, _ = run(
+            capsys, "verify", "--alpha", "1", "--gamma1", "2", "--gamma2", gamma2,
+            "--n-ladder", "10000,30000", "--reps", "2000", "--out", str(out_file),
+        )
+        payload = json.loads(out_file.read_text())
+        assert payload["test"] == "stable"
+        assert code == 0, payload["rungs"]
+
     def test_bad_ladder_exits_1(self, capsys):
         code, _, _ = run(
             capsys, "verify", "--alpha", "0.5", "--gamma1", "1", "--gamma2", "2",
@@ -252,3 +276,15 @@ class TestPhaseGrid:
             "--gamma1", "0.05:3", "--gamma2", "0.05:3:0.05",
         )
         assert code == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(mixlim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixlim", "classify",
+         "--alpha", "0.5", "--gamma1", "2", "--gamma2", "0.3"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "fluctuation: stable" in proc.stdout

@@ -18,6 +18,8 @@ from mixlim import (
     var_z,
 )
 
+from conftest import oracle_centering
+
 INTERIOR_LLN = (Lln.FULL, Lln.LIGHT_PART, Lln.NONE)
 INTERIOR_FLUCT = (Fluctuation.CLT_FULL, Fluctuation.CLT_LIGHT_PART, Fluctuation.STABLE)
 
@@ -177,6 +179,20 @@ class TestNormalizationPlan:
         assert plan.scale == pytest.approx(float(n) ** ((1.0 - 0.5) / 1.5), rel=1e-14)
         assert plan.stable_compensated
         assert plan.stable_spec.shift == pytest.approx(1.5 / (1.0 - 1.5))
+
+    def test_alpha_one_plan(self):
+        """Center n E[Z 1{Z <= beta_n}], unshifted compensated reference."""
+        p = ModelParams(alpha=1.0, lam=1.0, gamma1=2.0, gamma2=0.3)
+        n = 10**4
+        inst = derive_instance(p, n)
+        plan = normalization_plan(p, inst, classify(1.0, 2.0, 0.3))
+        beta = float(n) ** 0.7
+        want = beta * oracle_centering(1.0, 1.0, inst.eps_n, inst.m_n, n, beta)
+        assert plan.limit == "stable"
+        assert plan.scale == pytest.approx(beta, rel=1e-14)
+        assert plan.center == pytest.approx(want, rel=1e-9)
+        assert plan.stable_compensated
+        assert plan.stable_spec.shift == 0.0
 
     def test_boundary_has_no_plan(self):
         p = ModelParams(alpha=0.5, lam=1.0, gamma1=1.0, gamma2=1.5)

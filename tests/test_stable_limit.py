@@ -242,3 +242,45 @@ class TestSampler:
         result = ks_one_sample(draws, lambda xs: np.array([cdf(float(x), spec, True) for x in xs]),
                                level=0.01)
         assert result.passed
+
+
+class TestAlphaOne:
+    """The exact alpha = 1 law: closed-form exponent and CMS sampler."""
+
+    def test_closed_form_matches_quadrature(self):
+        for c in (0.7, 1.0, 2.5):
+            spec = StableLimitSpec(alpha=1.0, tail_const=c)
+            for mag in (1e-3, 0.25, 1.0, 4.0, 10.0):
+                for u in (-mag, mag):
+                    got = char_exponent(u, spec, True)
+                    want = quad_exponent(u, 1.0, c, True)
+                    assert abs(got - want) < 1e-6, (c, u)
+
+    def test_ecf_matches_exponent(self):
+        spec = StableLimitSpec(alpha=1.0, tail_const=0.7, shift=0.3)
+        draws = sample_stable(RngStream(29), spec, True, size=10**5)
+        u_grid = np.linspace(-2.0, 2.0, 41)
+        distance = ecf_distance(draws, lambda u: char_exponent(u, spec, True), u_grid)
+        assert distance < 0.06
+
+    def test_draws_finite_and_two_uniforms_each(self):
+        spec = StableLimitSpec(alpha=1.0)
+        rng = RngStream(5)
+        draws = sample_stable(rng, spec, True, size=10**6)
+        assert np.all(np.isfinite(draws))
+        assert rng.position == 2 * 10**6
+
+    def test_right_tail_constant(self):
+        """x P(X > x) -> tail_const, also far beyond the 1 - 1e-4 quantile."""
+        c = 1.0
+        spec = StableLimitSpec(alpha=1.0, tail_const=c)
+        draws = sample_stable(RngStream(13), spec, True, size=10**6)
+        for x in (50.0, 100.0, 200.0):
+            tail = np.mean(draws > x)
+            want = 1.0 - cdf(x, spec, True)
+            assert abs(tail - want) < 5.0 * math.sqrt(want / draws.size), x
+            # the O(ln(x)/x) correction is still 8% at x = 50
+            assert x * tail == pytest.approx(c, rel=0.15), x
+        # about 50 draws expected beyond 2e4; a table stopping at the
+        # 1 - 1e-4 quantile (near 1e4) would give none
+        assert 25 < np.count_nonzero(draws > 2e4 * c) < 100
