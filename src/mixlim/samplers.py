@@ -3,12 +3,15 @@
 The generator is a counter-mode SplitMix64: output j of a stream with seed s
 is ``mix(s + j * 0x9E3779B97F4A7C15)`` where ``mix`` is the SplitMix64
 finalizer (xor-shift / multiply staircase).  Uniforms are built from the top
-53 bits as ``(bits + 0.5) * 2**-53`` and therefore lie strictly inside (0, 1).
+53 bits as ``min((bits + 0.5) * 2**-53, 1 - 2**-53)`` and therefore lie
+strictly inside (0, 1).
 
 Counter mode makes block generation vectorisable and gives O(1) jump-ahead,
 so a replicate's stream can be regenerated from (seed, position) alone.
 Substream k of a master seed is ``mix(master ^ (k * 0x9E3779B97F4A7C15))``;
 replicates of a campaign use substreams, never slices of one stream.
+Row sums are computed many replicates at a time, as (rows x draws) blocks;
+the bits of each row sum depend on neither the block size nor the threads.
 """
 
 from __future__ import annotations
@@ -35,39 +38,67 @@ __all__ = [
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+_U_MAX = 1.0 - 2.0**-53  # largest double below 1: the top of every uniform
 
-# Draws per block when accumulating long sums; 2**19 keeps the working set of
-# one replicate near 8 MB so several threads fit comfortably in cache/RAM.
+# Draws per replicate block.  Rows of up to _BLOCK draws are simulated
+# max(1, _BLOCK // n) replicates at a time as one C-contiguous (rows x n)
+# array; a block never changes a bit, because every draw depends only on its
+# replicate's seed and its position in the row.
+_BLOCK = 1 << 16
+
+# Summation chunk of long rows: a row sum is the pairwise np.sum of each
+# 2**19-draw chunk, and the chunk partials are combined exactly with
+# math.fsum.  The chunk boundaries fix those partials, so changing _CHUNK
+# changes the digest of every row longer than the chunk.
 _CHUNK = 1 << 19
+
+
+def _mix64_array(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array (wraps mod 2**64).
+
+    ``tmp`` is scratch of the same shape; no other array is allocated.
+    """
+    np.right_shift(z, 30, out=tmp)
+    z ^= tmp
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, 27, out=tmp)
+    z ^= tmp
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
 
 
 def _mix64(z: int) -> int:
     """SplitMix64 finalizer on a Python int, reduced mod 2**64."""
-    z &= _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
+    word = np.array([z & _MASK64], dtype=np.uint64)
+    return int(_mix64_array(word, np.empty_like(word))[0])
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer applied elementwise to a uint64 array (wraps mod 2**64)."""
-    z = z.copy()
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
+def _to_uniforms(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Uniforms ``min((bits + 0.5) * 2**-53, 1 - 2**-53)`` of the top 53 bits.
+
+    The clamp only touches bits = 2**53 - 1, where ``bits + 0.5`` rounds up
+    to 2**53.  ``words`` is overwritten.
+    """
+    np.right_shift(words, 11, out=words)
+    np.add(words, 0.5, out=out)
+    out *= 2.0**-53
+    return np.minimum(out, _U_MAX, out=out)
+
+
+def _substream_seeds(master_seed: int, ks: np.ndarray) -> np.ndarray:
+    """Seeds mix(master ^ (k * 0x9E3779B97F4A7C15)) of the substreams ``ks``."""
+    z = ks.astype(np.uint64) * np.uint64(_GOLDEN)
+    z ^= np.uint64(master_seed & _MASK64)
+    return _mix64_array(z, np.empty_like(z))
 
 
 def substream_seed(master_seed: int, k: int) -> int:
     """Seed of replicate substream k: mix(master ^ (k * 0x9E3779B97F4A7C15))."""
     if k < 0:
         raise ValueError(f"substream index must be non-negative, got {k}")
-    return _mix64((master_seed & _MASK64) ^ ((k * _GOLDEN) & _MASK64))
+    return int(_substream_seeds(master_seed, np.array([k & _MASK64], dtype=np.uint64))[0])
 
 
 class RngStream:
@@ -84,11 +115,12 @@ class RngStream:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         start = self.position + 1
-        idx = np.arange(start, start + count, dtype=np.uint64)
-        state = idx * np.uint64(_GOLDEN) + np.uint64(self.seed)
+        state = np.arange(start, start + count, dtype=np.uint64)
+        state *= np.uint64(_GOLDEN)
+        state += np.uint64(self.seed)
         self.position += count
-        bits = _mix64_array(state) >> np.uint64(11)
-        return (bits.astype(np.float64) + 0.5) * 2.0**-53
+        _mix64_array(state, np.empty_like(state))
+        return _to_uniforms(state, np.empty(count))
 
     def uniform(self) -> float:
         """Next single uniform on (0, 1)."""
@@ -141,46 +173,113 @@ def sample_mixture(rng, params: ModelParams, inst: InstanceParams) -> float:
     return quantile_light(float(u[1]), params.lam)
 
 
-def _sum_core(rng, params: ModelParams, inst: InstanceParams) -> tuple[float, int]:
-    """Sum of ``inst.n`` mixture draws plus the count of heavy-branch draws.
+def _branch_threshold(eps: float) -> int:
+    """Count T of 53-bit values b whose uniform is <= eps: heavy iff b < T.
 
-    Accumulation is pairwise within each block (np.sum) and exact across block
-    partials (math.fsum); heavy-tail summands span many orders of magnitude
-    and naive accumulation would lose the light-tail mass.
+    The uniform of b is nondecreasing in b, so the heavy branch is exactly
+    b < T, and the kernel tests it on the raw 64-bit word as
+    ``word <= (T << 11) - 1`` without turning the word into a float.
     """
-    lam = params.lam
-    alpha = params.alpha
-    eps = inst.eps_n
-    mass = -math.expm1(-alpha * math.log(inst.m_n))
-    partials = []
-    heavy = 0
-    remaining = inst.n
-    while remaining > 0:
-        k = min(remaining, _CHUNK)
-        u = rng.uniforms(2 * k)
-        u_branch = u[0::2]
-        u_value = u[1::2]
-        x = -np.log1p(-u_value)
-        if lam != 1.0:
-            x /= lam
-        if eps > 0.0:
-            heavy_mask = u_branch <= eps
-            n_heavy = int(np.count_nonzero(heavy_mask))
-            if n_heavy:
-                heavy += n_heavy
-                x[heavy_mask] = np.clip(
-                    np.power(1.0 - u_value[heavy_mask] * mass, -1.0 / alpha),
-                    1.0, inst.m_n,
-                )
-        partials.append(float(np.sum(x)))
-        remaining -= k
-    return math.fsum(partials), heavy
+    lo, hi = 0, 1 << 53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if min((mid + 0.5) * 2.0**-53, _U_MAX) <= eps:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
-def sample_sum(rng, params: ModelParams, inst: InstanceParams) -> float:
-    """S_n: sum of ``inst.n`` independent mixture draws from ``rng``."""
-    total, _ = _sum_core(rng, params, inst)
-    return total
+class _RowSums:
+    """Row sums of ``inst.n`` mixture draws for a block of replicate streams.
+
+    Calling it with the uint64 stream bases of some rows returns their sums
+    and heavy-draw counts.  Row r uses the stream whose word j is
+    ``mix(bases[r] + j * 0x9E3779B97F4A7C15)``; draw i takes word 2i + 1 for
+    the branch and word 2i + 2 for the value, as ``sample_mixture`` does.
+
+    Accumulation is pairwise within each row chunk (np.sum) and exact across
+    chunk partials (math.fsum); heavy-tail summands span many orders of
+    magnitude and naive accumulation would lose the light-tail mass.
+    Immutable after construction, so threads may share one instance.
+    """
+
+    def __init__(self, params: ModelParams, inst: InstanceParams):
+        self.n = inst.n
+        self.rows = max(1, _BLOCK // inst.n)  # replicates per block
+        self.lam = params.lam
+        self.alpha = params.alpha
+        self.m_n = inst.m_n
+        threshold = _branch_threshold(inst.eps_n)
+        # largest heavy word, or None when no word can take the heavy branch
+        self.heavy_word = np.uint64((threshold << 11) - 1) if threshold else None
+        # counter offsets of draw i's branch word 2i + 1 and value word 2i + 2
+        words = np.arange(1, 2 * min(inst.n, _CHUNK) + 1, dtype=np.uint64)
+        words *= np.uint64(_GOLDEN)
+        self.branch_offsets = words[0::2].copy()
+        self.value_offsets = words[1::2].copy()
+
+    def __call__(self, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row sums and heavy-draw counts of the rows with stream bases ``bases``.
+
+        The rows are computed a block at a time in one set of scratch buffers.
+        """
+        n = self.n
+        width = min(n, _CHUNK)
+        size = min(len(bases), self.rows) * width
+        scratch = (np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64))
+        totals = np.empty(len(bases))
+        heavy = np.zeros(len(bases), dtype=np.int64)
+        for i in range(0, len(bases), self.rows):
+            block = slice(i, i + self.rows)
+            partials = []
+            for start in range(0, n, _CHUNK):
+                shift = np.uint64((2 * start * _GOLDEN) & _MASK64)
+                sums, counts = self._chunk(bases[block] + shift, min(_CHUNK, n - start), scratch)
+                partials.append(sums)
+                heavy[block] += counts
+            if len(partials) == 1:
+                totals[block] = partials[0]
+            else:  # rows over _CHUNK draws come one per block
+                totals[block] = math.fsum(float(p[0]) for p in partials)
+        return totals, heavy
+
+    def _chunk(self, bases, width, scratch) -> tuple[np.ndarray, np.ndarray]:
+        """Sums and heavy counts of draws 0..width-1 of each row of ``bases``."""
+        rows = len(bases)
+        words, tmp = (buf[:rows * width].reshape(rows, width) for buf in scratch)
+        x = tmp.view(np.float64)  # the draws reuse the mixer's scratch
+        flat = x.reshape(-1)
+        bases = bases[:, None]
+        heavy_at = np.empty(0, dtype=np.intp)  # flat indices of heavy draws
+        if self.heavy_word is not None:
+            np.add(self.branch_offsets[:width], bases, out=words)
+            heavy_at = np.flatnonzero(_mix64_array(words, tmp) <= self.heavy_word)
+        np.add(self.value_offsets[:width], bases, out=words)
+        _to_uniforms(_mix64_array(words, tmp), x)
+        u_heavy = flat[heavy_at]
+        # quantile_light, in place: -log1p(-u) / lam
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        if self.lam != 1.0:
+            x /= self.lam
+        if heavy_at.size:
+            flat[heavy_at] = quantile_truncated_pareto(u_heavy, self.alpha, self.m_n)
+        counts = np.diff(np.searchsorted(heavy_at, np.arange(rows + 1) * width))
+        return x.sum(axis=1), counts
+
+
+def sample_sum(rng: RngStream, params: ModelParams, inst: InstanceParams) -> float:
+    """S_n: sum of ``inst.n`` independent mixture draws from ``rng``.
+
+    Consumes ``2 * inst.n`` uniforms, the same ones ``inst.n`` calls of
+    ``sample_mixture`` would.
+    """
+    base = (rng.seed + rng.position * _GOLDEN) & _MASK64
+    rng.position += 2 * inst.n
+    totals, _ = _RowSums(params, inst)(np.array([base], dtype=np.uint64))
+    return float(totals[0])
 
 
 @dataclass
@@ -212,33 +311,28 @@ def monte_carlo(
 
     Replicate k uses the substream ``substream_seed(master_seed, k)``, so the
     output is a pure function of (params, n, replicates, master_seed, plan)
-    and bit-identical for any ``thread_count``: parallelism distributes whole
-    replicates, never splits one replicate's stream.
+    and bit-identical for any ``thread_count``: each thread takes a run of
+    whole blocks of replicates, and no replicate's stream is ever split.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if thread_count < 1:
         raise ValueError(f"thread_count must be >= 1, got {thread_count}")
-    inst = derive_instance(params, n)
-
-    center = plan.center
-    scale = plan.scale
-
-    def run_one(k: int) -> tuple[float, int]:
-        rng = RngStream(substream_seed(master_seed, k))
-        total, heavy = _sum_core(rng, params, inst)
-        return (total - center) / scale, heavy
-
-    values = np.empty(replicates, dtype=np.float64)
-    heavy_counts = np.empty(replicates, dtype=np.float64)
-    if thread_count == 1 or replicates == 1:
-        for k in range(replicates):
-            values[k], heavy_counts[k] = run_one(k)
+    kernel = _RowSums(params, derive_instance(params, n))
+    seeds = _substream_seeds(master_seed, np.arange(replicates))
+    # each thread takes one contiguous run of whole blocks
+    blocks = -(-replicates // kernel.rows)
+    workers = min(thread_count, blocks)
+    cuts = [blocks * w // workers * kernel.rows for w in range(workers + 1)]
+    runs = [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    if workers == 1:
+        results = [kernel(seeds)]
     else:
-        with ThreadPoolExecutor(max_workers=thread_count) as pool:
-            for k, (value, heavy) in enumerate(pool.map(run_one, range(replicates))):
-                values[k] = value
-                heavy_counts[k] = heavy
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(kernel, runs))
+    totals = np.concatenate([total for total, _ in results])
+    heavy_counts = np.concatenate([count for _, count in results]).astype(np.float64)
+    values = (totals - plan.center) / plan.scale
     if not np.all(np.isfinite(values)):
         raise ArithmeticError("non-finite normalized sum encountered")
     return SumSample(

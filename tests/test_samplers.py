@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixlim import samplers
 from mixlim import (
     InstanceParams,
     ModelParams,
@@ -39,6 +40,42 @@ def _reference_mix(z: int) -> int:
     return z
 
 
+def _unxorshift(y: int, shift: int) -> int:
+    """Inverse of x -> x ^ (x >> shift) on 64-bit words."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _reference_unmix(z: int) -> int:
+    """Inverse of the SplitMix64 finalizer: each xorshift and odd multiply undone."""
+    z = _unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK
+    return _unxorshift(z, 30)
+
+
+def _seed_with_word(j: int, word: int) -> int:
+    """Seed of the stream whose output j is the raw 64-bit ``word``."""
+    return (_reference_unmix(word) - j * GOLDEN) & MASK
+
+
+def _float_rule(b: int, eps: float) -> bool:
+    """Heavy branch by the float rule: the uniform of the top 53 bits b is <= eps."""
+    return min((b + 0.5) * 2.0**-53, 1.0 - 2.0**-53) <= eps
+
+
+def _reference_row_sum(seed: int, p: ModelParams, inst: InstanceParams) -> float:
+    """One row sum by the plain per-row formula: float branch test, np.sum."""
+    u = RngStream(seed).uniforms(2 * inst.n)
+    values = quantile_light(u[1::2], p.lam)
+    heavy = u[0::2] <= inst.eps_n
+    values[heavy] = quantile_truncated_pareto(u[1::2][heavy], p.alpha, inst.m_n)
+    return float(np.sum(values))
+
+
 class _FakeStream:
     """Deterministic uniform feeder for forced-branch tests."""
 
@@ -68,6 +105,26 @@ class TestRngStream:
     def test_open_unit_interval(self):
         u = RngStream(3).uniforms(10**5)
         assert np.all(u > 0.0) and np.all(u < 1.0)
+
+    def test_all_ones_word_gives_uniform_below_one(self):
+        seed = _seed_with_word(1, MASK)
+        assert _reference_mix(seed + GOLDEN) == MASK
+        u = RngStream(seed).uniforms(1)
+        assert u[0] < 1.0
+        assert u[0] == 1.0 - 2.0**-53
+
+    def test_all_ones_value_word_gives_finite_draws(self):
+        seed = _seed_with_word(2, MASK)
+        p = ModelParams(alpha=0.5, lam=1.0, gamma1=1.0, gamma2=0.5)
+        light = InstanceParams(n=1, eps_n=0.0, m_n=100.0)
+        heavy = InstanceParams(n=1, eps_n=1.0 - 2.0**-53, m_n=100.0)
+        assert sample_sum(RngStream(seed), p, light) == pytest.approx(53 * math.log(2.0))
+        assert sample_mixture(RngStream(seed), p, light) == pytest.approx(53 * math.log(2.0))
+        assert sample_sum(RngStream(seed), p, heavy) == pytest.approx(100.0)
+        # replicate 0 of master seed unmix(seed) uses this stream
+        identity = NormalizationPlan(center=0.0, scale=1.0, limit="std_normal")
+        sample = monte_carlo(p, 2, 1, _reference_unmix(seed), identity)
+        assert np.all(np.isfinite(sample.values))
 
     def test_substream_formula(self):
         master = 987654321
@@ -177,6 +234,51 @@ class TestSampleMixture:
         assert abs(fraction - 0.1) < 1e-3
 
 
+class TestBranchThreshold:
+    """The integer heavy-branch test agrees with the float rule at its edge."""
+
+    @staticmethod
+    def _check_edges(eps: float) -> None:
+        threshold = samplers._branch_threshold(eps)
+        assert 0 <= threshold <= 2**53
+        if threshold > 0:
+            assert _float_rule(threshold - 1, eps)
+        if threshold < 2**53:
+            assert not _float_rule(threshold, eps)
+
+    @pytest.mark.parametrize(
+        "eps",
+        [0.0, 2.0**-60, 2.0**-54, 2.0**-53, 2.0**-52, 2.0**-20, 2.0**-1, 1.0]
+        + [
+            math.nextafter(e, d)
+            for e in (2.0**-53, 2.0**-52, 0.1, 0.5, 1.0 - 2.0**-53)
+            for d in (0.0, 1.0)
+        ]
+        # eps_n of the golden-digest configurations
+        + [600_000.0**-0.3, 100_000.0**-2.0, 100.0**-0.3, 1000.0**-0.3,
+           10_000.0**-0.3, 2000.0**-0.5, 3000.0**-0.4],
+    )
+    def test_boundary_words(self, eps):
+        self._check_edges(eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(eps=st.floats(0.0, 1.0))
+    def test_boundary_words_property(self, eps):
+        self._check_edges(eps)
+
+    @pytest.mark.parametrize("eps", [2.0**-20, 0.1, 600_000.0**-0.3])
+    def test_kernel_branch_at_boundary_words(self, eps):
+        """Streams whose branch word sits on either side of the threshold."""
+        p = ModelParams(alpha=0.5, lam=1.0, gamma1=1.0, gamma2=0.5)
+        inst = InstanceParams(n=1, eps_n=eps, m_n=100.0)
+        threshold = samplers._branch_threshold(eps)
+        for word in ((threshold - 1) << 11 | 0x7FF, threshold << 11):
+            seed = _seed_with_word(1, word)
+            assert sample_sum(RngStream(seed), p, inst) == sample_mixture(
+                RngStream(seed), p, inst
+            )
+
+
 class TestSampleSum:
     def test_n_one_row_matches_single_draw(self):
         p = ModelParams(alpha=0.5, lam=1.0, gamma1=1.0, gamma2=0.5)
@@ -225,6 +327,39 @@ class TestMonteCarlo:
         threaded = monte_carlo(p, 500, 24, 42, plan, thread_count=4)
         assert np.array_equal(single.values, threaded.values)
         assert single.heavy_count_mean == threaded.heavy_count_mean
+        # 300 rows of 500 draws span several blocks, the last one partial;
+        # rows of 2**19 + 3 draws span two summation chunks
+        assert 300 % (samplers._BLOCK // 500) != 0
+        for n, replicates in ((500, 300), (2**19 + 3, 3)):
+            single = monte_carlo(p, n, replicates, 42, plan, thread_count=1)
+            for threads in (2, 3, 8):
+                threaded = monte_carlo(p, n, replicates, 42, plan, thread_count=threads)
+                assert np.array_equal(single.values, threaded.values)
+                assert single.heavy_count_mean == threaded.heavy_count_mean
+
+    def test_block_size_invariance(self, monkeypatch):
+        p = ModelParams(alpha=1.5, lam=0.3, gamma1=1.0, gamma2=0.5)
+        plan = NormalizationPlan(center=0.0, scale=1.0, limit="std_normal")
+        default = monte_carlo(p, 700, 200, 5, plan)
+        for block in (1, 1000, 7 * 700, 10**6):
+            monkeypatch.setattr(samplers, "_BLOCK", block)
+            blocked = monte_carlo(p, 700, 200, 5, plan)
+            assert np.array_equal(default.values, blocked.values)
+            assert default.heavy_count_mean == blocked.heavy_count_mean
+
+    @pytest.mark.parametrize(
+        "point, n",
+        [((0.5, 1.0, 2.0, 0.3), 1000), ((1.5, 0.3, 1.0, 0.5), 2000), ((0.5, 2.0, 1.0, 2.0), 37)],
+    )
+    def test_matches_reference_row_sums(self, point, n):
+        """The blocked kernel gives the per-row formula's sums bit for bit."""
+        alpha, lam, gamma1, gamma2 = point
+        p = ModelParams(alpha=alpha, lam=lam, gamma1=gamma1, gamma2=gamma2)
+        identity = NormalizationPlan(center=0.0, scale=1.0, limit="std_normal")
+        sample = monte_carlo(p, n, 70, 11, identity, thread_count=2)
+        inst = derive_instance(p, n)
+        for k in range(70):
+            assert sample.values[k] == _reference_row_sum(substream_seed(11, k), p, inst)
 
     def test_identity_plan_returns_raw_sums(self):
         p = ModelParams(alpha=0.5, lam=1.0, gamma1=1.0, gamma2=0.5)
