@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -32,12 +31,12 @@ from .model import (
     var_z,
     var_z_asymptotic,
 )
-from .regimes import Fluctuation, NormalizationPlan, classify, normalization_plan
+from .regimes import Fluctuation, Lln, NormalizationPlan, classify, normalization_plan
 from .samplers import RngStream, monte_carlo, substream_seed
 from .stable_limit import char_exponent, sample_stable
 from .stats import ecf_distance, ks_one_sample, ks_two_sample, lln_ratio_check
 
-__all__ = ["main", "console_main", "RunConfig"]
+__all__ = ["main", "console_main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,46 +48,6 @@ EXIT_IO = 4
 _REFERENCE_SALT = 0x9E3779B97F4A7C15
 
 _VERSION_STRING = f"mixlim-{__version__}"
-
-
-@dataclass
-class RunConfig:
-    """Validated numeric configuration shared by the simulation commands."""
-
-    alpha: float
-    lam: float
-    gamma1: float
-    gamma2: float
-    n_ladder: list[int] = field(default_factory=list)
-    replicates: int = 1000
-    seed: int = 42
-    threads: int = 1
-    level: float = 0.01
-    delta: float = 0.05
-    out: str | None = None
-    out_format: str = "csv"
-
-    def validate(self) -> ModelParams:
-        params = ModelParams(
-            alpha=self.alpha, lam=self.lam, gamma1=self.gamma1, gamma2=self.gamma2
-        )
-        if not self.n_ladder:
-            raise ValueError("at least one row size n is required")
-        if any(n < 2 for n in self.n_ladder):
-            raise ValueError("row sizes must be >= 2")
-        if any(b <= a for a, b in zip(self.n_ladder, self.n_ladder[1:])):
-            raise ValueError("row sizes must be strictly increasing")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must be in (0, 1)")
-        if not self.delta > 0.0:
-            raise ValueError("delta must be positive")
-        if self.out_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.out_format!r}")
-        return params
 
 
 class _CliError(Exception):
@@ -114,6 +73,24 @@ def _default_threads() -> int:
     except ValueError:
         return 1
     return value if value >= 1 else 1
+
+
+def _validated(args) -> ModelParams:
+    """The model of a moments, simulate or verify command, after checking its options."""
+    params = ModelParams(alpha=args.alpha, lam=args.lam, gamma1=args.gamma1, gamma2=args.gamma2)
+    ladder = args.n_ladder if hasattr(args, "n_ladder") else [args.n]
+    for ok, message in (
+        (len(ladder) > 0, "at least one row size n is required"),
+        (all(n >= 2 for n in ladder), "row sizes must be >= 2"),
+        (all(b > a for a, b in zip(ladder, ladder[1:])), "row sizes must be strictly increasing"),
+        (getattr(args, "reps", 1) >= 1, "replicates must be >= 1"),
+        (getattr(args, "threads", 1) >= 1, "threads must be >= 1"),
+        (0.0 < getattr(args, "level", 0.01) < 1.0, "level must be in (0, 1)"),
+        (getattr(args, "delta", 0.05) > 0.0, "delta must be positive"),
+    ):
+        if not ok:
+            raise ValueError(message)
+    return params
 
 
 def _report_to_dict(report) -> dict:
@@ -160,10 +137,7 @@ def _cmd_classify(args) -> int:
             print(f"stable_branch: {report.stable_branch.value}")
         print(f"lln: {report.lln.value}")
         print(f"zone: {report.zone if report.zone is not None else 'none'}")
-    boundary = (
-        report.fluctuation in (Fluctuation.BOUNDARY, Fluctuation.UNCLASSIFIED)
-        or report.lln.value == "boundary"
-    )
+    boundary = report.fluctuation is Fluctuation.BOUNDARY or report.lln is Lln.BOUNDARY
     return EXIT_BOUNDARY if boundary else EXIT_OK
 
 
@@ -172,11 +146,7 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_moments(args) -> int:
-    config = RunConfig(
-        alpha=args.alpha, lam=args.lam, gamma1=args.gamma1, gamma2=args.gamma2,
-        n_ladder=[args.n],
-    )
-    params = config.validate()
+    params = _validated(args)
     inst = derive_instance(params, args.n)
     payload = {
         "schema": 1,
@@ -206,19 +176,14 @@ def _cmd_moments(args) -> int:
 
 def _simulation_plan(params: ModelParams, n: int):
     report = classify(params.alpha, params.gamma1, params.gamma2)
-    if report.fluctuation in (Fluctuation.BOUNDARY, Fluctuation.UNCLASSIFIED):
+    if report.fluctuation is Fluctuation.BOUNDARY:
         return report, None
     inst = derive_instance(params, n)
     return report, normalization_plan(params, inst, report)
 
 
 def _cmd_simulate(args) -> int:
-    config = RunConfig(
-        alpha=args.alpha, lam=args.lam, gamma1=args.gamma1, gamma2=args.gamma2,
-        n_ladder=[args.n], replicates=args.reps, seed=args.seed,
-        threads=args.threads, out=args.out,
-    )
-    params = config.validate()
+    params = _validated(args)
     report, plan = _simulation_plan(params, args.n)
     if plan is None:
         print("error: boundary point, no limit statement applies", file=sys.stderr)
@@ -322,12 +287,7 @@ def _verify_lln(params, args, mode: str) -> list[dict]:
 
 
 def _cmd_verify(args) -> int:
-    config = RunConfig(
-        alpha=args.alpha, lam=args.lam, gamma1=args.gamma1, gamma2=args.gamma2,
-        n_ladder=args.n_ladder, replicates=args.reps, seed=args.seed,
-        threads=args.threads, level=args.level, delta=args.delta, out=args.out,
-    )
-    params = config.validate()
+    params = _validated(args)
     if args.reps < 100:
         # Asymptotic critical values are meaningless for tiny samples; no
         # pass/fail verdict is issued below 100 replicates.
@@ -337,7 +297,7 @@ def _cmd_verify(args) -> int:
     forced = args.force_test
     # The LLN ladders need no normalization plan, so only they run at a boundary.
     lln_mode = {"lln-full": "full_mean", "lln-light": "light_mean"}.get(forced)
-    if lln_mode is None and report.fluctuation in (Fluctuation.BOUNDARY, Fluctuation.UNCLASSIFIED):
+    if lln_mode is None and report.fluctuation is Fluctuation.BOUNDARY:
         print("error: boundary point, no limit statement applies", file=sys.stderr)
         return EXIT_BOUNDARY
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from scipy import integrate
 
-from .model import InstanceParams, ModelParams, mean_z, var_z
+from .model import InstanceParams, ModelParams, _mixture_moment, _pareto_mass, mean_z, var_z
 
 __all__ = [
     "DiagnosticsReport",
@@ -54,16 +54,6 @@ def collect_diagnostics(
     )
 
 
-def _heavy_tail_prob(v: float, alpha: float, m: float) -> float:
-    """P(Y > v) for the truncated Pareto component, exact with clamping."""
-    if v < 1.0:
-        return 1.0
-    if v >= m:
-        return 0.0
-    denom = -math.expm1(-alpha * math.log(m))  # 1 - m**-alpha
-    return (v**-alpha - m**-alpha) / denom
-
-
 def tail_sum(x: float, params: ModelParams, inst: InstanceParams, beta_n: float) -> float:
     """Sum over the row of P(Z > beta_n * x), in exact closed form.
 
@@ -77,7 +67,13 @@ def tail_sum(x: float, params: ModelParams, inst: InstanceParams, beta_n: float)
         raise ValueError(f"beta_n must be positive, got {beta_n}")
     v = beta_n * x
     light = math.exp(-params.lam * v) if params.lam * v < 745.0 else 0.0
-    heavy = _heavy_tail_prob(v, params.alpha, inst.m_n)
+    alpha, m = params.alpha, inst.m_n
+    if v < 1.0:
+        heavy = 1.0
+    elif v >= m:
+        heavy = 0.0
+    else:
+        heavy = (v**-alpha - m**-alpha) / _pareto_mass(alpha, m)
     return inst.n * ((1.0 - inst.eps_n) * light + inst.eps_n * heavy)
 
 
@@ -112,7 +108,7 @@ def _abs_central_moment(params: ModelParams, inst: InstanceParams, order: float)
             errs.append((1.0 - eps) * err)
 
     if eps > 0.0:
-        denom = -math.expm1(-alpha * math.log(m))
+        denom = _pareto_mass(alpha, m)
 
         def heavy_part_log(t):
             x = math.exp(t)
@@ -151,38 +147,6 @@ def lyapounov_ratio(params: ModelParams, inst: InstanceParams, delta: float = 0.
     return numerator / (inst.n ** (delta / 2.0) * variance ** (1.0 + delta / 2.0))
 
 
-def _light_truncated_mean(lam: float, b: float) -> float:
-    """E[X 1{X < b}] for Exponential(lam)."""
-    if b <= 0.0:
-        return 0.0
-    lb = lam * b
-    if lb > 745.0:
-        return 1.0 / lam
-    return (1.0 - math.exp(-lb)) / lam - b * math.exp(-lb)
-
-
-def _light_truncated_second(lam: float, b: float) -> float:
-    """E[X^2 1{X < b}] for Exponential(lam)."""
-    if b <= 0.0:
-        return 0.0
-    lb = lam * b
-    if lb > 745.0:
-        return 2.0 / lam**2
-    return (2.0 / lam**2) * (1.0 - math.exp(-lb) * (1.0 + lb + 0.5 * lb * lb))
-
-
-def _heavy_truncated_moment(s: float, alpha: float, m: float, b: float) -> float:
-    """E[Y^s 1{Y < b}] for the truncated Pareto, exact; b clamped to [1, m]."""
-    v = min(max(b, 1.0), m)
-    if v <= 1.0:
-        return 0.0
-    denom = -math.expm1(-alpha * math.log(m))
-    log_v = math.log(v)
-    if s == alpha:
-        return alpha * log_v / denom
-    return alpha * math.expm1((s - alpha) * log_v) / (s - alpha) / denom
-
-
 def centering_a_n(params: ModelParams, inst: InstanceParams, beta_n: float) -> float:
     """Truncated-mean centering sum a_n = (n/beta) E[Z 1{Z < beta}], closed form.
 
@@ -192,9 +156,7 @@ def centering_a_n(params: ModelParams, inst: InstanceParams, beta_n: float) -> f
     """
     if not beta_n > 1.0 + 1e-8:
         raise ValueError(f"beta_n must exceed 1, got {beta_n}")
-    light = _light_truncated_mean(params.lam, beta_n)
-    heavy = _heavy_truncated_moment(1.0, params.alpha, inst.m_n, beta_n)
-    return inst.n / beta_n * ((1.0 - inst.eps_n) * light + inst.eps_n * heavy)
+    return inst.n / beta_n * _mixture_moment(1.0, params, inst, beta_n)
 
 
 def truncated_variance(
@@ -212,12 +174,6 @@ def truncated_variance(
     if not beta_n > 0.0:
         raise ValueError(f"beta_n must be positive, got {beta_n}")
     cut = tau * beta_n
-    eps = inst.eps_n
-    first = (1.0 - eps) * _light_truncated_mean(params.lam, cut)
-    second = (1.0 - eps) * _light_truncated_second(params.lam, cut)
-    if eps > 0.0:
-        first += eps * _heavy_truncated_moment(1.0, params.alpha, inst.m_n, cut)
-        second += eps * _heavy_truncated_moment(2.0, params.alpha, inst.m_n, cut)
-    first /= beta_n
-    second /= beta_n**2
+    first = _mixture_moment(1.0, params, inst, cut) / beta_n
+    second = _mixture_moment(2.0, params, inst, cut) / beta_n**2
     return inst.n * (second - first * first)

@@ -7,8 +7,11 @@ the truncation level are tied to the row size ``n`` of a triangular array via
 
     eps_n = n ** -gamma2,        m_n = n ** gamma1.
 
-All moment formulas here are exact closed forms; the ``*_asymptotic`` variants
-are the leading-order forms used as diagnostics at large ``n``.
+This module is the one home of the component laws' closed forms: the partial
+moments E[X^s 1{X < b}] of each component (``mu1``, ``mu2``), the truncated
+Pareto's normaliser 1 - m**-alpha, and the mixture's partial moments built
+from them.  All are exact; the ``*_asymptotic`` variants are the leading-order
+forms used as diagnostics at large ``n``.
 """
 
 from __future__ import annotations
@@ -89,22 +92,44 @@ def derive_instance(params: ModelParams, n: int) -> InstanceParams:
     return InstanceParams(n=n, eps_n=float(n) ** -params.gamma2, m_n=float(n) ** params.gamma1)
 
 
-def mu1(s: float, lam: float) -> float:
-    """s-th raw moment of Exponential(lam): Gamma(s + 1) / lam**s, for s > 0."""
+def mu1(s: float, lam: float, b: float = math.inf) -> float:
+    """Partial moment E[X^s 1{X < b}] of X ~ Exponential(lam), for s > 0.
+
+    With b = inf (the default) this is the raw moment Gamma(s + 1) / lam**s.
+    A finite b has a closed form for s in {1, 2} only (any other s raises
+    ValueError); it gives 0 for b <= 0 and the raw moment once lam b > 745,
+    where e^{-lam b} underflows.
+    """
     if not s > 0.0:
         raise ValueError(f"moment order s must be positive, got {s}")
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    return float(_gamma_fn(s + 1.0)) / lam**s
+    if b < math.inf and s not in (1.0, 2.0):
+        raise ValueError(f"a finite window b needs moment order 1 or 2, got {s}")
+    lb = lam * b
+    if lb > 745.0:
+        return float(_gamma_fn(s + 1.0)) / lam**s
+    if b <= 0.0:
+        return 0.0
+    tail = math.exp(-lb)
+    if s == 1.0:
+        return (1.0 - tail) / lam - b * tail
+    return (2.0 / lam**2) * (1.0 - tail * (1.0 + lb + 0.5 * lb * lb))
 
 
-def mu2(s: float, alpha: float, m: float) -> float:
-    """s-th raw moment of Pareto(alpha) on [1, inf) truncated at m > 1.
+def _pareto_mass(alpha: float, m: float) -> float:
+    """1 - m**-alpha: the Pareto(alpha) mass of [1, m], which normalises its truncation."""
+    return -math.expm1(-alpha * math.log(m))
 
-    Exact value, including the (1 - m**-alpha)**-1 truncation normalisation:
 
-        s != alpha:  (alpha / (s - alpha)) * (m**(s-alpha) - 1) / (1 - m**-alpha)
-        s == alpha:  alpha * ln(m) / (1 - m**-alpha)
+def mu2(s: float, alpha: float, m: float, b: float = math.inf) -> float:
+    """Partial moment E[Y^s 1{Y < b}] of Y ~ Pareto(alpha) on [1, inf) truncated at m > 1.
+
+    b is clamped to [1, m], so b = inf (the default) gives the raw moment.
+    Exact value, with v = min(max(b, 1), m) and the normaliser 1 - m**-alpha:
+
+        s != alpha:  (alpha / (s - alpha)) * (v**(s-alpha) - 1) / (1 - m**-alpha)
+        s == alpha:  alpha * ln(v) / (1 - m**-alpha)
 
     Uses expm1 throughout so the two branches join continuously as s -> alpha
     and the m -> 1+ limit stays accurate.
@@ -115,31 +140,36 @@ def mu2(s: float, alpha: float, m: float) -> float:
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
     if not m > 1.0:
         raise ValueError(f"truncation level m must exceed 1, got {m}")
-    log_m = math.log(m)
-    denom = -math.expm1(-alpha * log_m)  # 1 - m**-alpha
+    v = min(max(b, 1.0), m)
+    if v <= 1.0:
+        return 0.0
+    log_v = math.log(v)
     if s == alpha:
-        num = alpha * log_m
+        num = alpha * log_v
     else:
-        num = alpha * math.expm1((s - alpha) * log_m) / (s - alpha)
-    return num / denom
+        num = alpha * math.expm1((s - alpha) * log_v) / (s - alpha)
+    return num / _pareto_mass(alpha, m)
+
+
+def _mixture_moment(
+    s: float, params: ModelParams, inst: InstanceParams, b: float = math.inf
+) -> float:
+    """Partial moment E[Z^s 1{Z < b}] = (1 - eps) mu1(s, lam, b) + eps mu2(s, alpha, m, b).
+
+    At eps = 0 the heavy term is exactly 0, so the sum is the light moment to the bit.
+    """
+    light = mu1(s, params.lam, b)
+    return (1.0 - inst.eps_n) * light + inst.eps_n * mu2(s, params.alpha, inst.m_n, b)
 
 
 def mean_z(params: ModelParams, inst: InstanceParams) -> float:
     """Exact mixture mean (1 - eps) * mu1(1) + eps * mu2(1)."""
-    light = mu1(1.0, params.lam)
-    if inst.eps_n == 0.0:
-        return light
-    return (1.0 - inst.eps_n) * light + inst.eps_n * mu2(1.0, params.alpha, inst.m_n)
+    return _mixture_moment(1.0, params, inst)
 
 
 def var_z(params: ModelParams, inst: InstanceParams) -> float:
     """Exact mixture variance (1 - eps) mu1(2) + eps mu2(2) - mean**2; always > 0."""
-    m2_light = mu1(2.0, params.lam)
-    if inst.eps_n == 0.0:
-        second = m2_light
-    else:
-        second = (1.0 - inst.eps_n) * m2_light + inst.eps_n * mu2(2.0, params.alpha, inst.m_n)
-    value = second - mean_z(params, inst) ** 2
+    value = _mixture_moment(2.0, params, inst) - mean_z(params, inst) ** 2
     if not value > 0.0:
         raise ArithmeticError(f"mixture variance came out non-positive: {value}")
     return value

@@ -38,7 +38,6 @@ class Fluctuation(enum.Enum):
     CLT_LIGHT_PART = "clt_light_part"
     STABLE = "stable"
     BOUNDARY = "boundary"
-    UNCLASSIFIED = "unclassified"
 
 
 class StableBranch(enum.Enum):
@@ -178,10 +177,8 @@ def normalization_plan(params: ModelParams, inst: InstanceParams, report: Regime
     STABLE, a = 1    (n E[Z 1{Z <= beta_n}], beta_n = n**(1-gamma2),
                      unshifted compensated reference)
     """
-    if report.fluctuation in (Fluctuation.BOUNDARY, Fluctuation.UNCLASSIFIED):
-        raise ValueError(
-            "no theorem applies: the point is on a regime boundary or unclassified"
-        )
+    if report.fluctuation is Fluctuation.BOUNDARY:
+        raise ValueError("no theorem applies: the point is on a regime boundary")
     n = inst.n
     alpha = params.alpha
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InstanceParams, ModelParams, derive_instance
+from .model import InstanceParams, ModelParams, _pareto_mass, derive_instance
 from .regimes import NormalizationPlan
 
 __all__ = [
@@ -151,7 +151,7 @@ def quantile_truncated_pareto(u, alpha: float, m: float):
     u_arr = np.asarray(u, dtype=np.float64)
     if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
         raise ValueError("quantile_truncated_pareto requires u in [0, 1]")
-    mass = -math.expm1(-alpha * math.log(m))  # 1 - m**-alpha
+    mass = _pareto_mass(alpha, m)
     x = np.power(1.0 - u_arr * mass, -1.0 / alpha)
     # cancellation in 1 - u*mass can overshoot the endpoints by ~1e-11
     # relative for u near 1 and large m; the support is exactly [1, m]

@@ -234,6 +234,58 @@ class TestVerify:
         assert "100 replicates" in err
 
 
+
+# Valid options of each command that validates a campaign; each rejected case
+# below replaces one of them (or adds --threads, --level or --delta).
+COMMAND_OPTIONS = {
+    "moments": {"--n": "100"},
+    "simulate": {"--n": "100", "--reps": "10"},
+    "verify": {"--n-ladder": "1000", "--reps": "100"},
+}
+MODEL_ERRORS = [
+    ("--alpha", "2", "alpha must be in (0, 2)"),
+    ("--lambda", "0", "lam must be positive"),
+    ("--gamma1", "0", "gamma1 must be positive"),
+    ("--gamma2", "-1", "gamma2 must be positive"),
+]
+REJECTED = [
+    *[(command, *error) for command in COMMAND_OPTIONS for error in MODEL_ERRORS],
+    ("moments", "--n", "1", "row sizes must be >= 2"),
+    ("simulate", "--n", "1", "row sizes must be >= 2"),
+    ("verify", "--n-ladder", "1,1000", "row sizes must be >= 2"),
+    ("verify", "--n-ladder", ",", "at least one row size n is required"),
+    ("verify", "--n-ladder", "5000,2000", "row sizes must be strictly increasing"),
+    ("verify", "--n-ladder", "2000,2000", "row sizes must be strictly increasing"),
+    ("simulate", "--reps", "0", "replicates must be >= 1"),
+    ("verify", "--reps", "0", "replicates must be >= 1"),
+    ("simulate", "--threads", "0", "threads must be >= 1"),
+    ("verify", "--threads", "0", "threads must be >= 1"),
+    ("verify", "--level", "0", "level must be in (0, 1)"),
+    ("verify", "--level", "1", "level must be in (0, 1)"),
+    ("verify", "--delta", "0", "delta must be positive"),
+    ("verify", "--delta", "-0.1", "delta must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message", REJECTED,
+    ids=[f"{c}{f}={v}" for c, f, v, _ in REJECTED],
+)
+def test_rejected_input_exits_1(capsys, tmp_path, command, flag, value, message):
+    options = {
+        "--alpha": "0.5", "--lambda": "1", "--gamma1": "1", "--gamma2": "2",
+        **COMMAND_OPTIONS[command], flag: value,
+    }
+    argv = [command, *(part for item in options.items() for part in item)]
+    out_file = tmp_path / "x.csv"
+    if command == "simulate":
+        argv += ["--out", str(out_file)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert message in err
+    assert out == ""
+    assert not out_file.exists()
+
 class TestPhaseGrid:
     def test_full_grid(self, capsys, tmp_path):
         out_file = tmp_path / "grid.csv"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from mixlim import (
     InstanceParams,
@@ -85,6 +86,23 @@ class TestMu1:
         with pytest.raises(ValueError):
             mu1(1.0, -1.0)
 
+    def test_window_against_quadrature(self):
+        for s in (1.0, 2.0):
+            for lam, b in ((1.0, 0.5), (2.0, 3.0), (0.3, 10.0)):
+                want, _ = integrate.quad(
+                    lambda x: x**s * lam * math.exp(-lam * x), 0.0, b, epsabs=0.0, epsrel=1e-12
+                )
+                assert mu1(s, lam, b) == pytest.approx(want, rel=1e-10), (s, lam, b)
+
+    def test_window_edges(self):
+        assert mu1(1.0, 1.0, 0.0) == 0.0
+        assert mu1(2.0, 1.0, -1.0) == 0.0
+        assert mu1(2.0, 0.5, 2000.0) == mu1(2.0, 0.5)  # lam * b > 745
+
+    def test_window_needs_order_one_or_two(self):
+        with pytest.raises(ValueError, match="order 1 or 2"):
+            mu1(0.5, 1.0, 10.0)
+
 
 class TestMu2:
     def test_examples(self):
@@ -110,6 +128,14 @@ class TestMu2:
             mu2(1.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             mu2(-1.0, 0.5, 10.0)
+
+    def test_window_is_clamped_to_the_support(self):
+        assert mu2(1.0, 0.5, 100.0, 0.5) == 0.0
+        assert mu2(2.0, 0.5, 100.0, 1.0) == 0.0
+        assert mu2(1.0, 0.5, 100.0, 1e6) == mu2(1.0, 0.5, 100.0)
+        # E[Y 1{Y < 25}] = (25**0.5 - 1) / (1 - 100**-0.5) at alpha = 0.5, m = 100
+        assert mu2(1.0, 0.5, 100.0, 25.0) == pytest.approx(4.0 / 0.9, rel=1e-14)
+        assert mu2(0.5, 0.5, 100.0, 25.0) == pytest.approx(0.5 * math.log(25.0) / 0.9, rel=1e-14)
 
 
 class TestMixtureMoments:
