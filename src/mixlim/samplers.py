@@ -12,6 +12,10 @@ Substream k of a master seed is ``mix(master ^ (k * 0x9E3779B97F4A7C15))``;
 replicates of a campaign use substreams, never slices of one stream.
 Row sums are computed many replicates at a time, as (rows x draws) blocks;
 the bits of each row sum depend on neither the block size nor the threads.
+The kernel mixes at most 2**16 draws at a time, a block of short rows or a
+tile of a long row, so its scratch stays in a per-core L2 cache.  Only the
+2**19-draw summation chunk fixes the partials of a row sum, so the tile
+changes no bit.
 """
 
 from __future__ import annotations
@@ -40,16 +44,19 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _U_MAX = 1.0 - 2.0**-53  # largest double below 1: the top of every uniform
 
-# Draws per replicate block.  Rows of up to _BLOCK draws are simulated
+# Draws mixed at a time.  Rows of up to _BLOCK draws are simulated
 # max(1, _BLOCK // n) replicates at a time as one C-contiguous (rows x n)
-# array; a block never changes a bit, because every draw depends only on its
-# replicate's seed and its position in the row.
+# array; a longer row is mixed in tiles of _BLOCK draws, written into its
+# chunk's draw buffer.  Neither blocks nor tiles change a bit, because every
+# draw depends only on its replicate's seed and its position in the row, and
+# only _CHUNK fixes the summation partials.
 _BLOCK = 1 << 16
 
 # Summation chunk of long rows: a row sum is the pairwise np.sum of each
 # 2**19-draw chunk, and the chunk partials are combined exactly with
-# math.fsum.  The chunk boundaries fix those partials, so changing _CHUNK
-# changes the digest of every row longer than the chunk.
+# math.fsum.  The chunk boundaries alone fix those partials, so changing
+# _CHUNK changes the digest of every row longer than the chunk, while the
+# _BLOCK tiles within a chunk change no bit.
 _CHUNK = 1 << 19
 
 
@@ -198,6 +205,9 @@ class _RowSums:
     ``mix(bases[r] + j * 0x9E3779B97F4A7C15)``; draw i takes word 2i + 1 for
     the branch and word 2i + 2 for the value, as ``sample_mixture`` does.
 
+    Draws are mixed a tile at a time: a block of short rows is one tile, and
+    a row longer than ``_BLOCK`` draws is mixed in ``_BLOCK``-draw tiles,
+    each written into its chunk's draw buffer while still in cache.
     Accumulation is pairwise within each row chunk (np.sum) and exact across
     chunk partials (math.fsum); heavy-tail summands span many orders of
     magnitude and naive accumulation would lose the light-tail mass.
@@ -213,8 +223,9 @@ class _RowSums:
         threshold = _branch_threshold(inst.eps_n)
         # largest heavy word, or None when no word can take the heavy branch
         self.heavy_word = np.uint64((threshold << 11) - 1) if threshold else None
+        self.tile = min(inst.n, _BLOCK)  # draws mixed at a time in a long row
         # counter offsets of draw i's branch word 2i + 1 and value word 2i + 2
-        words = np.arange(1, 2 * min(inst.n, _CHUNK) + 1, dtype=np.uint64)
+        words = np.arange(1, 2 * self.tile + 1, dtype=np.uint64)
         words *= np.uint64(_GOLDEN)
         self.branch_offsets = words[0::2].copy()
         self.value_offsets = words[1::2].copy()
@@ -225,17 +236,16 @@ class _RowSums:
         The rows are computed a block at a time in one set of scratch buffers.
         """
         n = self.n
-        width = min(n, _CHUNK)
-        size = min(len(bases), self.rows) * width
-        scratch = (np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64))
+        rows = min(len(bases), self.rows)
+        words = np.empty(rows * self.tile, dtype=np.uint64)
+        draws = np.empty(rows * min(n, _CHUNK))  # one chunk's draws
         totals = np.empty(len(bases))
         heavy = np.zeros(len(bases), dtype=np.int64)
         for i in range(0, len(bases), self.rows):
             block = slice(i, i + self.rows)
             partials = []
             for start in range(0, n, _CHUNK):
-                shift = np.uint64((2 * start * _GOLDEN) & _MASK64)
-                sums, counts = self._chunk(bases[block] + shift, min(_CHUNK, n - start), scratch)
+                sums, counts = self._chunk(bases[block], start, min(_CHUNK, n - start), words, draws)
                 partials.append(sums)
                 heavy[block] += counts
             if len(partials) == 1:
@@ -244,18 +254,41 @@ class _RowSums:
                 totals[block] = math.fsum(float(p[0]) for p in partials)
         return totals, heavy
 
-    def _chunk(self, bases, width, scratch) -> tuple[np.ndarray, np.ndarray]:
-        """Sums and heavy counts of draws 0..width-1 of each row of ``bases``."""
+    def _chunk(self, bases, start, width, words, draws) -> tuple[np.ndarray, np.ndarray]:
+        """Sums and heavy counts of draws start..start+width-1 of each row of ``bases``.
+
+        The draws are made a tile at a time: the whole block when its rows
+        are short, else ``self.tile`` draws of the block's single row.  Either
+        way a tile's draws are the contiguous run [lo, lo + rows * w) of the
+        chunk's row-major draw buffer.
+        """
         rows = len(bases)
-        words, tmp = (buf[:rows * width].reshape(rows, width) for buf in scratch)
-        x = tmp.view(np.float64)  # the draws reuse the mixer's scratch
-        flat = x.reshape(-1)
+        x = draws[:rows * width]
         bases = bases[:, None]
-        heavy_at = np.empty(0, dtype=np.intp)  # flat indices of heavy draws
+        heavy_at = []  # flat indices of heavy draws in the chunk, per tile
+        for lo in range(0, width, self.tile):
+            w = min(self.tile, width - lo)
+            shift = np.uint64((2 * (start + lo) * _GOLDEN) & _MASK64)
+            heavy_at.append(self._tile(bases + shift, words[:rows * w].reshape(rows, w),
+                                       x[lo:lo + rows * w].reshape(rows, w)) + lo)
+        heavy_at = np.concatenate(heavy_at)
+        counts = np.diff(np.searchsorted(heavy_at, np.arange(rows + 1) * width))
+        return x.reshape(rows, width).sum(axis=1), counts
+
+    def _tile(self, bases, words, x) -> np.ndarray:
+        """Draws of one (rows x w) tile into ``x``; flat indices of its heavy draws.
+
+        ``bases`` holds each row's stream base shifted to the tile's first
+        draw.  ``x`` doubles as the mixer's scratch before it takes the draws.
+        """
+        w = x.shape[1]
+        tmp = x.view(np.uint64)
+        flat = x.reshape(-1)
+        heavy_at = np.empty(0, dtype=np.intp)
         if self.heavy_word is not None:
-            np.add(self.branch_offsets[:width], bases, out=words)
+            np.add(self.branch_offsets[:w], bases, out=words)
             heavy_at = np.flatnonzero(_mix64_array(words, tmp) <= self.heavy_word)
-        np.add(self.value_offsets[:width], bases, out=words)
+        np.add(self.value_offsets[:w], bases, out=words)
         _to_uniforms(_mix64_array(words, tmp), x)
         u_heavy = flat[heavy_at]
         # quantile_light, in place: -log1p(-u) / lam
@@ -266,8 +299,7 @@ class _RowSums:
             x /= self.lam
         if heavy_at.size:
             flat[heavy_at] = quantile_truncated_pareto(u_heavy, self.alpha, self.m_n)
-        counts = np.diff(np.searchsorted(heavy_at, np.arange(rows + 1) * width))
-        return x.sum(axis=1), counts
+        return heavy_at
 
 
 def sample_sum(rng: RngStream, params: ModelParams, inst: InstanceParams) -> float:

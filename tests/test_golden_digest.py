@@ -8,7 +8,9 @@ the branch test or the summation order shows up here.
 
 The first two configurations are the benchmark canary's.  The zone-5 rows at
 n = 100, 1000 and 10000 leave a partial last block of replicates; the
-canary's n = 600000 spans two summation chunks.
+canary's n = 600000 spans two summation chunks.  Rows over 2**16 draws are
+mixed in 2**16-draw tiles; the last configuration ends on a partial tile with
+lam != 1.
 """
 
 import hashlib
@@ -38,6 +40,9 @@ GOLDEN = [
      "8d90482c6daff1f44dbec1bc88898ac80d766bbb9a14aa15960be7ecbe82658b", 3185),
     ((1.0, 1.0, 1.5, 0.4), 3000, 50, 5,
      "8da240dac09e3c8855a214339d02a00fcadb175d3a97f8d0e622ad3166d10363", 6177),
+    # two full 2**16-draw tiles and a partial one, rescaled light draws
+    ((1.5, 0.3, 1.0, 0.5), 3 * 2**16 + 5, 3, 6,
+     "13c021073e0c8530acb3741d5021d4e63c8facc4d1467581abbe4919a9516e5b", 1337),
 ]
 
 

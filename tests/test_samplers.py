@@ -1,6 +1,7 @@
 """Stream determinism, inverse-CDF correctness, and sum-driver contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,7 +350,13 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize(
         "point, n",
-        [((0.5, 1.0, 2.0, 0.3), 1000), ((1.5, 0.3, 1.0, 0.5), 2000), ((0.5, 2.0, 1.0, 2.0), 37)],
+        [
+            ((0.5, 1.0, 2.0, 0.3), 1000),
+            ((1.5, 0.3, 1.0, 0.5), 2000),
+            ((0.5, 2.0, 1.0, 2.0), 37),
+            # one chunk of two full 2**16-draw tiles and a partial one
+            ((0.5, 1.0, 2.0, 0.3), 3 * 2**16 + 5),
+        ],
     )
     def test_matches_reference_row_sums(self, point, n):
         """The blocked kernel gives the per-row formula's sums bit for bit."""
@@ -360,6 +367,18 @@ class TestMonteCarlo:
         inst = derive_instance(p, n)
         for k in range(70):
             assert sample.values[k] == _reference_row_sum(substream_seed(11, k), p, inst)
+
+    def test_long_row_allocation_bound(self):
+        """Rows of 10**6 draws hold one 2**19-draw chunk (4 MiB) and tile-sized scratch."""
+        p = ModelParams(alpha=0.5, lam=1.0, gamma1=2.0, gamma2=0.3)
+        identity = NormalizationPlan(center=0.0, scale=1.0, limit="std_normal")
+        tracemalloc.start()
+        try:
+            monte_carlo(p, 10**6, 2, 0, identity, thread_count=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_identity_plan_returns_raw_sums(self):
         p = ModelParams(alpha=0.5, lam=1.0, gamma1=1.0, gamma2=0.5)
