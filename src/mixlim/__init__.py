@@ -24,6 +24,8 @@ from .model import (
     mean_z_asymptotic,
     mu1,
     mu2,
+    quantile_light,
+    quantile_truncated_pareto,
     var_z,
     var_z_asymptotic,
 )
@@ -40,8 +42,6 @@ from .samplers import (
     RngStream,
     SumSample,
     monte_carlo,
-    quantile_light,
-    quantile_truncated_pareto,
     sample_mixture,
     sample_sum,
     substream_seed,
@@ -70,6 +70,8 @@ __all__ = [
     "var_z",
     "mean_z_asymptotic",
     "var_z_asymptotic",
+    "quantile_light",
+    "quantile_truncated_pareto",
     "Fluctuation",
     "StableBranch",
     "Lln",
@@ -80,8 +82,6 @@ __all__ = [
     "RngStream",
     "SumSample",
     "substream_seed",
-    "quantile_light",
-    "quantile_truncated_pareto",
     "sample_mixture",
     "sample_sum",
     "monte_carlo",

@@ -161,12 +161,7 @@ def _cmd_moments(args) -> int:
         "mean_z_asymptotic": mean_z_asymptotic(params, args.n),
         "var_z_asymptotic": var_z_asymptotic(params, args.n),
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    try:
-        _write_text(args.out, text)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -174,20 +169,13 @@ def _cmd_moments(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _simulation_plan(params: ModelParams, n: int):
-    report = classify(params.alpha, params.gamma1, params.gamma2)
-    if report.fluctuation is Fluctuation.BOUNDARY:
-        return report, None
-    inst = derive_instance(params, n)
-    return report, normalization_plan(params, inst, report)
-
-
 def _cmd_simulate(args) -> int:
     params = _validated(args)
-    report, plan = _simulation_plan(params, args.n)
-    if plan is None:
+    report = classify(params.alpha, params.gamma1, params.gamma2)
+    if report.fluctuation is Fluctuation.BOUNDARY:
         print("error: boundary point, no limit statement applies", file=sys.stderr)
         return EXIT_BOUNDARY
+    plan = normalization_plan(params, derive_instance(params, args.n), report)
     sample = monte_carlo(params, args.n, args.reps, args.seed, plan, args.threads)
 
     lines = ["replicate,value"]
@@ -206,13 +194,9 @@ def _cmd_simulate(args) -> int:
         "plan": _plan_to_dict(plan),
         "heavy_count_mean": sample.heavy_count_mean,
     }
-    try:
-        _write_text(args.out, body)
-        if args.out is not None:
-            _write_text(args.out + ".meta.json", json.dumps(metadata, indent=2) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, body)
+    if args.out is not None:
+        _write_text(args.out + ".meta.json", json.dumps(metadata, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -220,45 +204,36 @@ def _cmd_simulate(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _auto_test(report) -> str:
-    if report.fluctuation is Fluctuation.STABLE:
-        return "stable"
-    return "normal"
+def _verify_rung(params, n, args, report, test: str) -> dict:
+    """One rung: the normalized sums against N(0, 1) (one-sample KS) or against
+    reference draws of the plan's stable law (two-sample KS, plus the ECF).
 
-
-def _verify_rung_normal(params, n, args, plan) -> dict:
+    A forced-normal check at a stable point keeps the stable normalization and
+    simply tests it against the normal law.
+    """
+    plan = normalization_plan(params, derive_instance(params, n), report)
     sample = monte_carlo(params, n, args.reps, args.seed, plan, args.threads)
-    result = ks_one_sample(np.sort(sample.values), ndtr, args.level)
-    return {
+    if test == "normal":
+        result = ks_one_sample(np.sort(sample.values), ndtr, args.level)
+    else:
+        ref_rng = RngStream(substream_seed(args.seed ^ _REFERENCE_SALT, n))
+        reference = sample_stable(ref_rng, plan.stable_spec, plan.stable_compensated, args.reps)
+        result = ks_two_sample(sample.values, reference, args.level)
+    rung = {
         "n": n,
-        "test": "normal",
+        "test": test,
         "statistic": result.statistic,
         "critical_value": result.critical_value,
         "level": args.level,
         "passed": result.passed,
     }
-
-
-def _verify_rung_stable(params, n, args, plan) -> dict:
-    sample = monte_carlo(params, n, args.reps, args.seed, plan, args.threads)
-    ref_rng = RngStream(substream_seed(args.seed ^ _REFERENCE_SALT, n))
-    reference = sample_stable(ref_rng, plan.stable_spec, plan.stable_compensated, args.reps)
-    result = ks_two_sample(sample.values, reference, args.level)
-    u_grid = np.linspace(-2.0, 2.0, 41)
-    ecf = ecf_distance(
-        sample.values,
-        lambda u: char_exponent(u, plan.stable_spec, plan.stable_compensated),
-        u_grid,
-    )
-    return {
-        "n": n,
-        "test": "stable",
-        "statistic": result.statistic,
-        "critical_value": result.critical_value,
-        "level": args.level,
-        "passed": result.passed,
-        "ecf_distance": ecf,
-    }
+    if test == "stable":
+        rung["ecf_distance"] = ecf_distance(
+            sample.values,
+            lambda u: char_exponent(u, plan.stable_spec, plan.stable_compensated),
+            np.linspace(-2.0, 2.0, 41),
+        )
+    return rung
 
 
 def _verify_lln(params, args, mode: str) -> list[dict]:
@@ -267,23 +242,21 @@ def _verify_lln(params, args, mode: str) -> list[dict]:
         params, args.n_ladder, args.reps, args.seed, mode,
         delta=args.delta, thread_count=args.threads,
     )
-    out = []
-    for rung in rungs:
-        out.append(
-            {
-                "n": rung.n,
-                "test": f"lln_{'full' if mode == 'full_mean' else 'light'}",
-                "statistic": rung.fraction_within,
-                "critical_value": min_coverage,
-                "level": args.level,
-                "passed": rung.fraction_within >= min_coverage,
-                "median": rung.median,
-                "q05": rung.q05,
-                "q95": rung.q95,
-                "delta": rung.delta,
-            }
-        )
-    return out
+    return [
+        {
+            "n": rung.n,
+            "test": f"lln_{'full' if mode == 'full_mean' else 'light'}",
+            "statistic": rung.fraction_within,
+            "critical_value": min_coverage,
+            "level": args.level,
+            "passed": rung.fraction_within >= min_coverage,
+            "median": rung.median,
+            "q05": rung.q05,
+            "q95": rung.q95,
+            "delta": rung.delta,
+        }
+        for rung in rungs
+    ]
 
 
 def _cmd_verify(args) -> int:
@@ -303,26 +276,18 @@ def _cmd_verify(args) -> int:
 
     if lln_mode is not None:
         rungs = _verify_lln(params, args, lln_mode)
-        test_name = rungs[0]["test"]
     else:
-        test_name = forced if forced is not None else _auto_test(report)
-        rungs = []
-        for n in args.n_ladder:
-            inst = derive_instance(params, n)
-            plan = normalization_plan(params, inst, report)
-            if test_name == "normal":
-                # A forced-normal check at a stable point keeps the stable
-                # normalization and simply tests it against the normal law.
-                rungs.append(_verify_rung_normal(params, n, args, plan))
-            else:
-                if plan.limit != "stable":
-                    print(
-                        "error: stable test requested but the regime's limit "
-                        "is the normal law; use --force-test normal",
-                        file=sys.stderr,
-                    )
-                    return EXIT_USAGE
-                rungs.append(_verify_rung_stable(params, n, args, plan))
+        # normalization_plan gives a stable plan exactly at the STABLE class
+        stable = report.fluctuation is Fluctuation.STABLE
+        test = forced or ("stable" if stable else "normal")
+        if test == "stable" and not stable:
+            print(
+                "error: stable test requested but the regime's limit "
+                "is the normal law; use --force-test normal",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        rungs = [_verify_rung(params, n, args, report, test) for n in args.n_ladder]
 
     payload = {
         "schema": 1,
@@ -335,16 +300,11 @@ def _cmd_verify(args) -> int:
             "delta": args.delta,
         },
         "report": _report_to_dict(report),
-        "test": test_name,
+        "test": rungs[0]["test"],
         "rungs": rungs,
         "passed": bool(rungs[-1]["passed"]),
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    try:
-        _write_text(args.out, text)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if payload["passed"] else EXIT_STAT_FAIL
 
 
@@ -369,7 +329,6 @@ def _parse_range(text: str) -> list[float]:
 def _cmd_phase_grid(args) -> int:
     gamma1_values = _parse_range(args.gamma1)
     gamma2_values = _parse_range(args.gamma2)
-    ModelParams(alpha=args.alpha, lam=1.0, gamma1=1.0, gamma2=1.0)
 
     lines = ["gamma1,gamma2,zone,fluctuation,lln"]
     for g1 in gamma1_values:
@@ -380,11 +339,7 @@ def _cmd_phase_grid(args) -> int:
                 f"{_fmt(g1)},{_fmt(g2)},{zone},"
                 f"{report.fluctuation.value},{report.lln.value}"
             )
-    try:
-        _write_text(args.out, "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -484,6 +439,9 @@ def main(argv=None) -> int:
     except (_CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # only _write_text raises it
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def console_main() -> None:

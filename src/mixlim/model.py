@@ -8,10 +8,11 @@ the truncation level are tied to the row size ``n`` of a triangular array via
     eps_n = n ** -gamma2,        m_n = n ** gamma1.
 
 This module is the one home of the component laws' closed forms: the partial
-moments E[X^s 1{X < b}] of each component (``mu1``, ``mu2``), the truncated
-Pareto's normaliser 1 - m**-alpha, and the mixture's partial moments built
-from them.  All are exact; the ``*_asymptotic`` variants are the leading-order
-forms used as diagnostics at large ``n``.
+moments E[X^s 1{X < b}] of each component (``mu1``, ``mu2``), their quantiles
+(``quantile_light``, ``quantile_truncated_pareto``), the truncated Pareto's
+normaliser 1 - m**-alpha, and the mixture's partial moments built from them.
+All are exact; the ``*_asymptotic`` variants are the leading-order forms used
+as diagnostics at large ``n``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gamma as _gamma_fn
 
 __all__ = [
@@ -27,6 +29,8 @@ __all__ = [
     "derive_instance",
     "mu1",
     "mu2",
+    "quantile_light",
+    "quantile_truncated_pareto",
     "mean_z",
     "var_z",
     "mean_z_asymptotic",
@@ -120,6 +124,51 @@ def mu1(s: float, lam: float, b: float = math.inf) -> float:
 def _pareto_mass(alpha: float, m: float) -> float:
     """1 - m**-alpha: the Pareto(alpha) mass of [1, m], which normalises its truncation."""
     return -math.expm1(-alpha * math.log(m))
+
+
+def _light_quantile(u: np.ndarray, lam: float, out: np.ndarray) -> np.ndarray:
+    """-log1p(-u) / lam into ``out``, which may be ``u`` itself; unvalidated.
+
+    The division is skipped at lam = 1, where it is exact.
+    """
+    np.negative(u, out=out)
+    np.log1p(out, out=out)
+    np.negative(out, out=out)
+    if lam != 1.0:
+        out /= lam
+    return out
+
+
+def quantile_light(u, lam: float):
+    """Exponential(lam) quantile: -log(1 - u) / lam, for u in [0, 1)."""
+    if not lam > 0.0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    u_arr = np.asarray(u, dtype=np.float64)
+    if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
+        raise ValueError("quantile_light requires u in [0, 1)")
+    x = _light_quantile(u_arr, lam, np.empty(u_arr.shape))
+    return float(x) if np.isscalar(u) or u_arr.ndim == 0 else x
+
+
+def quantile_truncated_pareto(u, alpha: float, m: float):
+    """Quantile of Pareto(alpha) on [1, inf) truncated at m: u in [0, 1] -> [1, m].
+
+    Inverts F(x) = (1 - x**-alpha) / (1 - m**-alpha):
+    x = (1 - u * (1 - m**-alpha)) ** (-1/alpha).
+    """
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
+    if not m > 1.0:
+        raise ValueError(f"truncation level m must exceed 1, got {m}")
+    u_arr = np.asarray(u, dtype=np.float64)
+    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
+        raise ValueError("quantile_truncated_pareto requires u in [0, 1]")
+    mass = _pareto_mass(alpha, m)
+    x = np.power(1.0 - u_arr * mass, -1.0 / alpha)
+    # cancellation in 1 - u*mass can overshoot the endpoints by ~1e-11
+    # relative for u near 1 and large m; the support is exactly [1, m]
+    x = np.clip(x, 1.0, m)
+    return float(x) if np.isscalar(u) or u_arr.ndim == 0 else x
 
 
 def mu2(s: float, alpha: float, m: float, b: float = math.inf) -> float:

@@ -22,19 +22,24 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InstanceParams, ModelParams, _pareto_mass, derive_instance
+from .model import (
+    InstanceParams,
+    ModelParams,
+    _light_quantile,
+    derive_instance,
+    quantile_light,
+    quantile_truncated_pareto,
+)
 from .regimes import NormalizationPlan
 
 __all__ = [
     "RngStream",
     "SumSample",
     "substream_seed",
-    "quantile_light",
-    "quantile_truncated_pareto",
     "sample_mixture",
     "sample_sum",
     "monte_carlo",
@@ -128,42 +133,6 @@ class RngStream:
         self.position += count
         _mix64_array(state, np.empty_like(state))
         return _to_uniforms(state, np.empty(count))
-
-    def uniform(self) -> float:
-        """Next single uniform on (0, 1)."""
-        return float(self.uniforms(1)[0])
-
-
-def quantile_light(u, lam: float):
-    """Exponential(lam) quantile: -log(1 - u) / lam, for u in [0, 1)."""
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    u_arr = np.asarray(u, dtype=np.float64)
-    if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
-        raise ValueError("quantile_light requires u in [0, 1)")
-    x = -np.log1p(-u_arr) / lam
-    return float(x) if np.isscalar(u) or u_arr.ndim == 0 else x
-
-
-def quantile_truncated_pareto(u, alpha: float, m: float):
-    """Quantile of Pareto(alpha) on [1, inf) truncated at m: u in [0, 1] -> [1, m].
-
-    Inverts F(x) = (1 - x**-alpha) / (1 - m**-alpha):
-    x = (1 - u * (1 - m**-alpha)) ** (-1/alpha).
-    """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
-    if not m > 1.0:
-        raise ValueError(f"truncation level m must exceed 1, got {m}")
-    u_arr = np.asarray(u, dtype=np.float64)
-    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
-        raise ValueError("quantile_truncated_pareto requires u in [0, 1]")
-    mass = _pareto_mass(alpha, m)
-    x = np.power(1.0 - u_arr * mass, -1.0 / alpha)
-    # cancellation in 1 - u*mass can overshoot the endpoints by ~1e-11
-    # relative for u near 1 and large m; the support is exactly [1, m]
-    x = np.clip(x, 1.0, m)
-    return float(x) if np.isscalar(u) or u_arr.ndim == 0 else x
 
 
 def sample_mixture(rng, params: ModelParams, inst: InstanceParams) -> float:
@@ -291,12 +260,7 @@ class _RowSums:
         np.add(self.value_offsets[:w], bases, out=words)
         _to_uniforms(_mix64_array(words, tmp), x)
         u_heavy = flat[heavy_at]
-        # quantile_light, in place: -log1p(-u) / lam
-        np.negative(x, out=x)
-        np.log1p(x, out=x)
-        np.negative(x, out=x)
-        if self.lam != 1.0:
-            x /= self.lam
+        _light_quantile(x, self.lam, x)
         if heavy_at.size:
             flat[heavy_at] = quantile_truncated_pareto(u_heavy, self.alpha, self.m_n)
         return heavy_at
@@ -318,17 +282,13 @@ def sample_sum(rng: RngStream, params: ModelParams, inst: InstanceParams) -> flo
 class SumSample:
     """Normalized sum statistics from a Monte Carlo campaign.
 
-    values            one normalized statistic per replicate, ordered by
-                      replicate index
-    n                 row size used for every replicate
-    plan              the normalization applied: (S_n - center) / scale
+    values            one normalized statistic (S_n - center) / scale per
+                      replicate, ordered by replicate index
     heavy_count_mean  average number of heavy-branch draws per replicate
     """
 
     values: np.ndarray
-    n: int
-    plan: NormalizationPlan
-    heavy_count_mean: float = field(default=0.0)
+    heavy_count_mean: float
 
 
 def monte_carlo(
@@ -367,9 +327,4 @@ def monte_carlo(
     values = (totals - plan.center) / plan.scale
     if not np.all(np.isfinite(values)):
         raise ArithmeticError("non-finite normalized sum encountered")
-    return SumSample(
-        values=values,
-        n=n,
-        plan=plan,
-        heavy_count_mean=float(np.mean(heavy_counts)),
-    )
+    return SumSample(values=values, heavy_count_mean=float(np.mean(heavy_counts)))

@@ -38,9 +38,7 @@ class TestResult:
 
     statistic: float
     critical_value: float
-    level: float
     passed: bool
-    sample_sizes: tuple[int, ...]
 
 
 def ks_critical_constant(level: float) -> float:
@@ -67,7 +65,7 @@ def ks_one_sample(sample, cdf, level: float = 0.01) -> TestResult:
     grid_lo = np.arange(0, m) / m
     statistic = float(max(np.max(grid_hi - f), np.max(f - grid_lo)))
     critical = ks_critical_constant(level) / math.sqrt(m)
-    return TestResult(statistic, critical, level, statistic < critical, (m,))
+    return TestResult(statistic, critical, statistic < critical)
 
 
 def ks_two_sample(a, b, level: float = 0.01) -> TestResult:
@@ -86,7 +84,7 @@ def ks_two_sample(a, b, level: float = 0.01) -> TestResult:
     critical = ks_critical_constant(level) * math.sqrt(
         (xa.size + xb.size) / (xa.size * xb.size)
     )
-    return TestResult(statistic, critical, level, statistic < critical, (xa.size, xb.size))
+    return TestResult(statistic, critical, statistic < critical)
 
 
 def ecf_distance(sample, exponent, u_grid) -> float:
@@ -114,7 +112,6 @@ class LadderRung:
     q95: float
     fraction_within: float
     delta: float
-    replicates: int
 
 
 def lln_ratio_check(
@@ -162,7 +159,6 @@ def lln_ratio_check(
                 q95=float(q95),
                 fraction_within=within,
                 delta=delta,
-                replicates=replicates,
             )
         )
     return rungs

@@ -4,11 +4,14 @@
 and ``perfbench/tracer.py`` wraps every name in the ``__all__`` of each module
 in its ``LAYERS``.  A change that deletes or renames one of them would make
 every benchmark run fail, so these tests read both files (without importing
-them) and check that each name still resolves.
+them) and check that each name still resolves.  The meters of child.py read
+the arguments of the function they meter by parameter name, so a renamed
+parameter is checked too.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -92,3 +95,31 @@ def test_metered_names_are_traced(table):
         layer, name = ast.literal_eval(key).split(".")
         assert layer in layers
         assert name in importlib.import_module(f"mixlim.{layer}").__all__
+
+
+def _meter_reads():
+    """(metered name, key) of every ``args["key"]`` that a meter in child.py reads."""
+    functions = {node.name: node for node in _tree("child.py").body
+                 if isinstance(node, ast.FunctionDef)}
+    table = _assigned("child.py", "METERS")
+    reads = []
+    for key, meter in zip(table.keys, table.values):
+        for node in ast.walk(functions[meter.id]):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                reads.append((ast.literal_eval(key), ast.literal_eval(node.slice)))
+    return sorted(set(reads))
+
+
+def test_meter_reads_were_found():
+    assert {("samplers.monte_carlo", "n"), ("samplers.monte_carlo", "replicates"),
+            ("stable_limit.sample_stable", "spec"), ("stable_limit.sample_stable", "size"),
+            ("stable_limit.cdf", "x")} <= set(_meter_reads())
+
+
+@pytest.mark.parametrize("metered, key", _meter_reads())
+def test_meter_reads_a_parameter(metered, key):
+    """The tracer binds each call to the metered function's signature."""
+    layer, name = metered.split(".")
+    function = getattr(importlib.import_module(f"mixlim.{layer}"), name)
+    assert key in inspect.signature(function).parameters, f"{metered} has no parameter {key}"

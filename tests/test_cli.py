@@ -1,10 +1,14 @@
 """Command-line contract: exit codes, formats, determinism, env defaults."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -113,15 +117,6 @@ class TestSimulate:
         )
         assert code == 2
         assert "boundary" in err
-
-    def test_io_failure_exits_4(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "simulate", "--alpha", "0.5", "--gamma1", "1", "--gamma2", "2",
-            "--n", "1000", "--reps", "10",
-            "--out", str(tmp_path / "missing_dir" / "x.csv"),
-        )
-        assert code == 4
-        assert "cannot write" in err
 
     def test_env_threads_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MIXLIM_THREADS", "3")
@@ -340,3 +335,142 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "fluctuation: stable" in proc.stdout
+
+
+WRITING_COMMANDS = {
+    "moments": ["moments", "--alpha", "0.5", "--gamma1", "1", "--gamma2", "2", "--n", "100"],
+    "simulate": ["simulate", "--alpha", "0.5", "--gamma1", "1", "--gamma2", "2",
+                 "--n", "1000", "--reps", "10"],
+    "verify": ["verify", "--alpha", "0.5", "--gamma1", "1", "--gamma2", "2",
+               "--n-ladder", "1000", "--reps", "100"],
+    "phase-grid": ["phase-grid", "--alpha", "0.5", "--gamma1", "1:2:0.5", "--gamma2", "1:2:0.5"],
+}
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_io_failure_exits_4(capsys, tmp_path, command):
+    argv = [*WRITING_COMMANDS[command], "--out", str(tmp_path / "missing_dir" / "x.out")]
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert err.startswith("error: cannot write output: ")
+    assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# Golden contract: one case per command path.  Each case's exit code, stderr,
+# stdout and output files are recorded in golden_cli.json; text output is
+# kept as rows of comma-separated fields.  Exit codes, stderr, strings and the
+# key order of every JSON object must match exactly; numbers, the numeric
+# fields of text output included, within a relative 1e-9, so the last-bit
+# differences of numpy's SIMD dispatch classes do not count.  "{out}" in an
+# argument stands for an output path and, in the outputs, for that path.
+# Rerecord with ``python tests/test_cli.py`` only when an output is meant to
+# change.
+# ---------------------------------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+
+
+def _point(alpha, gamma1, gamma2, *rest):
+    return ["--alpha", alpha, "--gamma1", gamma1, "--gamma2", gamma2, *rest]
+
+
+GOLDEN_CASES = {
+    "verify-clt": ["verify", *_point("0.5", "1", "2"),
+                   "--n-ladder", "2000,5000", "--reps", "200", "--seed", "7"],
+    "verify-zone4-uncompensated": ["verify", *_point("0.5", "2", "0.6"),
+                                   "--n-ladder", "3000,6000", "--reps", "300", "--seed", "7"],
+    "verify-zone5-compensated": ["verify", *_point("0.5", "2", "0.3"),
+                                 "--n-ladder", "6000", "--reps", "300", "--seed", "3"],
+    "verify-edge-gamma2-1-minus-alpha": ["verify", *_point("0.5", "2", "0.5"),
+                                         "--n-ladder", "4000", "--reps", "300"],
+    "verify-alpha-1": ["verify", *_point("1", "2", "0.3"),
+                       "--n-ladder", "2000,6000", "--reps", "300"],
+    "verify-alpha-1.5-lambda-0.3-out": ["verify", *_point("1.5", "2", "0.2", "--lambda", "0.3"),
+                                        "--n-ladder", "5000", "--reps", "300",
+                                        "--seed", "5", "--out", "{out}"],
+    "verify-forced-normal-zone5-fails": ["verify", *_point("0.5", "2", "0.3"),
+                                         "--n-ladder", "3000", "--reps", "150", "--seed", "7",
+                                         "--force-test", "normal"],
+    "verify-forced-stable-clt-rejected": ["verify", *_point("0.5", "1", "2"),
+                                          "--n-ladder", "1000", "--reps", "100",
+                                          "--force-test", "stable"],
+    "verify-boundary": ["verify", *_point("0.5", "1", "1.5"),
+                        "--n-ladder", "1000", "--reps", "100"],
+    "verify-lln-full": ["verify", *_point("0.5", "1", "2"),
+                        "--n-ladder", "1000,2000,4000", "--reps", "150", "--seed", "11",
+                        "--force-test", "lln-full"],
+    "verify-lln-light": ["verify", *_point("0.5", "2", "0.6"),
+                         "--n-ladder", "1000,2000,4000", "--reps", "150", "--seed", "11",
+                         "--force-test", "lln-light"],
+    "verify-lln-full-boundary": ["verify", *_point("0.5", "1", "1.5"),
+                                 "--n-ladder", "1000,2000,4000", "--reps", "150",
+                                 "--force-test", "lln-full"],
+    "simulate": ["simulate", *_point("0.5", "2", "0.3"),
+                 "--n", "2000", "--reps", "40", "--seed", "7", "--out", "{out}"],
+    "moments": ["moments", *_point("0.5", "2", "0.3", "--lambda", "2"), "--n", "1000"],
+    "classify-text": ["classify", *_point("0.5", "2", "0.5")],
+    "classify-json": ["classify", *_point("0.5", "2", "0.3"), "--format", "json"],
+    "phase-grid": ["phase-grid", "--alpha", "0.5", "--gamma1", "0.5:2:0.5",
+                   "--gamma2", "0.25:1.5:0.25"],
+}
+
+
+def _field(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _parsed(text):
+    """A JSON object, or text as rows of comma-separated fields, numbers as floats."""
+    if text.startswith("{"):
+        return json.loads(text)
+    return [[_field(f) for f in line.split(",")] for line in text.splitlines()]
+
+
+def _golden_run(out_dir, argv):
+    """Exit code, stderr, stdout and output files of one command, with the
+    output path written back as "{out}"."""
+    out = str(out_dir / "out")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([part.replace("{out}", out) for part in argv])
+    files = {
+        path.name.replace("out", "{out}", 1): _parsed(path.read_text().replace(out, "{out}"))
+        for path in sorted(out_dir.iterdir())
+    }
+    return {"exit": code, "stderr": stderr.getvalue().replace(out, "{out}"),
+            "stdout": _parsed(stdout.getvalue().replace(out, "{out}")), "files": files}
+
+
+def _assert_same(actual, expected, where="$"):
+    """``actual == expected`` with exact key order and floats within rel 1e-9."""
+    assert type(actual) is type(expected), f"{where}: {actual!r} != {expected!r}"
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected), f"{where}: keys {list(actual)}"
+        for key in expected:
+            _assert_same(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), f"{where}: length {len(actual)}"
+        for k, (a, e) in enumerate(zip(actual, expected)):
+            _assert_same(a, e, f"{where}[{k}]")
+    elif isinstance(expected, float):
+        assert math.isclose(actual, expected, rel_tol=1e-9), f"{where}: {actual!r} != {expected!r}"
+    else:
+        assert actual == expected, f"{where}: {actual!r} != {expected!r}"
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_golden_cli_contract(tmp_path, case):
+    expected = json.loads(GOLDEN_PATH.read_text())[case]
+    _assert_same(_golden_run(tmp_path, GOLDEN_CASES[case]), expected)
+
+
+if __name__ == "__main__":
+    golden = {}
+    for name, argv in GOLDEN_CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            golden[name] = _golden_run(Path(tmp), argv)
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
