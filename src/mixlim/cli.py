@@ -7,6 +7,10 @@ CSV outputs carry a header row, use LF line endings, and serialize floats
 with 17 significant digits so byte-level determinism is testable.  JSON
 outputs carry a ``"schema": 1`` field.  The environment variable
 MIXLIM_THREADS supplies the default for --threads.
+
+scipy is imported where it is called, never at import time: ``classify``
+and ``phase-grid`` load none of it, and no command loads more than
+``scipy.special``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import __version__
 from .model import (
@@ -214,6 +217,8 @@ def _verify_rung(params, n, args, report, test: str) -> dict:
     plan = normalization_plan(params, derive_instance(params, n), report)
     sample = monte_carlo(params, n, args.reps, args.seed, plan, args.threads)
     if test == "normal":
+        from scipy.special import ndtr
+
         result = ks_one_sample(np.sort(sample.values), ndtr, args.level)
     else:
         ref_rng = RngStream(substream_seed(args.seed ^ _REFERENCE_SALT, n))
@@ -248,7 +253,6 @@ def _verify_lln(params, args, mode: str) -> list[dict]:
             "test": f"lln_{'full' if mode == 'full_mean' else 'light'}",
             "statistic": rung.fraction_within,
             "critical_value": min_coverage,
-            "level": args.level,
             "passed": rung.fraction_within >= min_coverage,
             "median": rung.median,
             "q05": rung.q05,

@@ -13,8 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy import integrate
-
 from .model import InstanceParams, ModelParams, _mixture_moment, _pareto_mass, mean_z, var_z
 
 __all__ = [
@@ -78,6 +76,8 @@ def tail_sum(x: float, params: ModelParams, inst: InstanceParams, beta_n: float)
 
 
 def _quad(fn, a: float, b: float, rel: float = 1e-9) -> tuple[float, float]:
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         value, err = integrate.quad(fn, a, b, epsabs=0.0, epsrel=rel, limit=400)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 __all__ = [
     "ModelParams",
@@ -112,7 +111,9 @@ def mu1(s: float, lam: float, b: float = math.inf) -> float:
         raise ValueError(f"a finite window b needs moment order 1 or 2, got {s}")
     lb = lam * b
     if lb > 745.0:
-        return float(_gamma_fn(s + 1.0)) / lam**s
+        from scipy.special import gamma
+
+        return float(gamma(s + 1.0)) / lam**s
     if b <= 0.0:
         return 0.0
     tail = math.exp(-lb)

@@ -26,8 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as _gamma_fn
 
 __all__ = ["StableLimitSpec", "char_exponent", "cdf", "sample_stable"]
 
@@ -93,7 +91,9 @@ def char_exponent(u, spec: StableLimitSpec, compensated: bool):
         log_abs = np.log(np.abs(u_flat), out=np.zeros_like(u_flat), where=u_flat != 0.0)
         psi = c * (-(np.pi / 2.0) * np.abs(u_flat) + 1j * u_flat * (1.0 - np.euler_gamma - log_abs))
     else:
-        psi = -c * _gamma_fn(1.0 - alpha) * _minus_iu_pow(u_flat, alpha)
+        from scipy.special import gamma
+
+        psi = -c * gamma(1.0 - alpha) * _minus_iu_pow(u_flat, alpha)
         if compensated:
             psi = psi - 1j * u_flat * (c * alpha / (1.0 - alpha))
     psi = psi + 1j * u_flat * spec.shift
@@ -105,7 +105,9 @@ def _bulk_decay_const(spec: StableLimitSpec) -> float:
     alpha = spec.alpha
     if alpha == 1.0:
         return spec.tail_const * math.pi / 2.0
-    return spec.tail_const * _gamma_fn(1.0 - alpha) * math.cos(alpha * math.pi / 2.0)
+    from scipy.special import gamma
+
+    return spec.tail_const * gamma(1.0 - alpha) * math.cos(alpha * math.pi / 2.0)
 
 
 def support_lower_bound(spec: StableLimitSpec, compensated: bool) -> float:
@@ -150,6 +152,8 @@ def cdf(x, spec: StableLimitSpec, compensated: bool):
 
     def re_phi_over_u(u):
         return phi_scalar(u).real / u
+
+    from scipy import integrate
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -255,7 +259,9 @@ def sample_stable(rng, spec: StableLimitSpec, compensated: bool, size: int | Non
     c = spec.tail_const
 
     if alpha < 1.0:
-        scale = (_gamma_fn(1.0 - alpha) * c) ** (1.0 / alpha)
+        from scipy.special import gamma
+
+        scale = (gamma(1.0 - alpha) * c) ** (1.0 / alpha)
         x = scale * _kanter_standard(rng, alpha, m)
     elif alpha > 1.0:
         scale = _bulk_decay_const(spec) ** (1.0 / alpha)

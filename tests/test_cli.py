@@ -325,14 +325,19 @@ class TestPhaseGrid:
         assert code == 1
 
 
-def test_python_dash_m_runs_the_cli():
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports mixlim from this source tree."""
     src = str(Path(mixlim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mixlim", "classify",
-         "--alpha", "0.5", "--gamma1", "2", "--gamma2", "0.3"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _fresh_python("-m", "mixlim", "classify",
+                         "--alpha", "0.5", "--gamma1", "2", "--gamma2", "0.3")
     assert proc.returncode == 0, proc.stderr
     assert "fluctuation: stable" in proc.stdout
 
@@ -466,6 +471,71 @@ def _assert_same(actual, expected, where="$"):
 def test_golden_cli_contract(tmp_path, case):
     expected = json.loads(GOLDEN_PATH.read_text())[case]
     _assert_same(_golden_run(tmp_path, GOLDEN_CASES[case]), expected)
+
+
+# ---------------------------------------------------------------------------
+# scipy is imported where it is called, not with the package.  These checks
+# run fresh interpreters, because the test modules themselves import scipy.
+# ---------------------------------------------------------------------------
+
+_SCIPY_AFTER_MAIN = """
+import contextlib, io, sys
+import mixlim.cli
+argv = {argv!r}
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert mixlim.cli.main(argv) in (0, 3)
+print(" ".join(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ([], "scipy"),
+    (["classify", *_point("0.5", "2", "0.3")], "scipy"),
+    (["verify", *_point("0.5", "2", "0.3"), "--n-ladder", "2000", "--reps", "100"],
+     "scipy.integrate"),
+], ids=["import", "classify", "verify-stable"])
+def test_scipy_is_loaded_on_first_use(argv, absent):
+    proc = _fresh_python("-c", _SCIPY_AFTER_MAIN.format(argv=argv))
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert [name for name in loaded if name == absent or name.startswith(absent + ".")] == []
+
+
+_LAZY_SCIPY_VALUES = """
+import contextlib, io, json
+from mixlim.cli import main
+from mixlim.diagnostics import lyapounov_ratio
+from mixlim.model import ModelParams, derive_instance
+from mixlim.stable_limit import StableLimitSpec, cdf, char_exponent
+params = ModelParams(alpha=0.5, lam=1.0, gamma1=1.0, gamma2=1.3)
+spec = StableLimitSpec(alpha=1.5)
+psi = char_exponent(0.7, spec, True)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    main(["verify", "--alpha", "0.5", "--gamma1", "1", "--gamma2", "2",
+          "--n-ladder", "2000", "--reps", "100"])
+print(lyapounov_ratio(params, derive_instance(params, 10**5)).hex(),
+      cdf(0.7, spec, True).hex(), psi.real.hex(), psi.imag.hex(),
+      json.loads(out.getvalue())["rungs"][0]["statistic"].hex())
+"""
+
+
+def test_lazy_scipy_imports_resolve_the_same_functions():
+    """One value behind each lazily imported scipy function, pinned to the
+    bit: ``quad`` (``lyapounov_ratio`` and ``cdf``), ``gamma``
+    (``char_exponent`` at alpha = 1.5, where ``math.gamma`` differs by an ulp)
+    and ``ndtr`` (a normal rung's KS statistic, which 0.5 * erfc(-x/sqrt 2)
+    moves).  A lazy import that resolved to another implementation would
+    change one of them."""
+    proc = _fresh_python("-c", _LAZY_SCIPY_VALUES)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "0x1.c7fa66fd91a98p+2",  # lyapounov_ratio, zone 2 point at n = 1e5
+        "0x1.6b1adc13aa928p-2",  # cdf(0.7), alpha = 1.5, compensated
+        "-0x1.77d1456d85b17p+0", "0x1.4390a85827d00p-1",  # char_exponent(0.7)
+        "0x1.abcab2a1bfad8p-5",  # normal KS statistic, zone 1, n = 2000, 100 rows
+    ]
 
 
 if __name__ == "__main__":
