@@ -35,20 +35,17 @@ class DiagnosticsReport:
     truncated_var: float
 
 
-def collect_diagnostics(
-    params: ModelParams,
-    inst: InstanceParams,
-    beta_n: float,
-    x_grid=(0.5, 1.0, 2.0),
-    delta: float = 0.5,
-    tau: float = 0.1,
-) -> DiagnosticsReport:
-    """Evaluate all four diagnostics at one working point."""
+def collect_diagnostics(params: ModelParams, inst: InstanceParams, beta_n: float) -> DiagnosticsReport:
+    """Evaluate all four diagnostics at one working point.
+
+    The tail sums are taken at x = 0.5, 1 and 2, the Lyapounov ratio at
+    delta = 0.5 and the truncated variance at tau = 0.1.
+    """
     return DiagnosticsReport(
-        tail_sum_values={float(x): tail_sum(float(x), params, inst, beta_n) for x in x_grid},
-        lyapounov=lyapounov_ratio(params, inst, delta),
+        tail_sum_values={x: tail_sum(x, params, inst, beta_n) for x in (0.5, 1.0, 2.0)},
+        lyapounov=lyapounov_ratio(params, inst, 0.5),
         centering_a_n=centering_a_n(params, inst, beta_n),
-        truncated_var=truncated_variance(params, inst, beta_n, tau),
+        truncated_var=truncated_variance(params, inst, beta_n, 0.1),
     )
 
 

@@ -6,9 +6,11 @@ for the law of large numbers; the joint assignment defines phase-diagram
 zones 1..6.  For alpha in [1, 2) the LLN always holds and the fluctuations
 are either Gaussian or one-sided stable.
 
-All inequalities are evaluated strictly, exactly as stated; a point sitting
-on any defining boundary is reported as BOUNDARY and no plan is produced
-for it (no limit statement applies there).
+The inequalities are strict and evaluated in float64, so a point on a decimal
+frontier may fall to either side of it: (0.5, 0.2, 0.3) is on gamma2 = (2 -
+alpha) gamma1, but 1.5 * 0.2 is 0.30000000000000004 and it is CLT_FULL.  A
+point on a frontier in float64 is BOUNDARY and gets no plan (no limit
+statement applies there); exact frontiers are an open item of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -41,12 +43,16 @@ class Fluctuation(enum.Enum):
 
 
 class StableBranch(enum.Enum):
-    """Centering branch inside the stable regime (alpha < 1 distinctions).
+    """Centering branch inside the stable regime, as distinguished for alpha < 1.
 
     SHIFT_ZERO               center n E[X]; uncompensated reference law
     SHIFT_COMPENSATED        center (alpha/(1-alpha)) beta_n; compensated law
     SHIFT_COMPENSATED_EDGE   gamma2 = 1 - alpha exactly: both centering terms
                              present; compensated law
+
+    Stable points with alpha >= 1 report SHIFT_ZERO, yet their plans use the
+    compensated law: shifted by alpha/(1-alpha) at alpha > 1, centered at the
+    truncated mean at alpha = 1.
     """
 
     SHIFT_ZERO = "shift_zero"
@@ -106,15 +112,27 @@ class NormalizationPlan:
             raise ValueError("stable limit requires a StableLimitSpec")
 
 
-def _classify_lt1(alpha: float, gamma1: float, gamma2: float) -> tuple[Fluctuation, StableBranch | None, Lln]:
+def classify(alpha: float, gamma1: float, gamma2: float) -> RegimeReport:
+    """Classify a parameter point into fluctuation and LLN regimes and a zone.
+
+    Zones are defined only for alpha in (0, 1); boundary points carry no zone.
+    """
+    # Validate through the shared parameter type (lam is irrelevant here).
+    ModelParams(alpha=alpha, lam=1.0, gamma1=gamma1, gamma2=gamma2)
     clt_line = (2.0 - alpha) * gamma1      # full CLT frontier
     smallness_line = 1.0 - alpha * gamma1  # below it, single terms stay negligible
     light_clt_line = 1.0 - alpha / 2.0     # light-part CLT lower frontier
 
+    branch = None
     if gamma2 > clt_line or gamma2 < min(clt_line, smallness_line):
-        fluct, branch = Fluctuation.CLT_FULL, None
+        fluct = Fluctuation.CLT_FULL
+    elif alpha >= 1.0:
+        if gamma2 == clt_line or gamma2 == smallness_line:
+            fluct = Fluctuation.BOUNDARY
+        else:
+            fluct, branch = Fluctuation.STABLE, StableBranch.SHIFT_ZERO
     elif gamma1 > 0.5 and light_clt_line < gamma2 < clt_line:
-        fluct, branch = Fluctuation.CLT_LIGHT_PART, None
+        fluct = Fluctuation.CLT_LIGHT_PART
     elif gamma1 > 0.5 and max(smallness_line, 0.0) < gamma2 < light_clt_line:
         fluct = Fluctuation.STABLE
         if gamma2 > 1.0 - alpha:
@@ -124,8 +142,10 @@ def _classify_lt1(alpha: float, gamma1: float, gamma2: float) -> tuple[Fluctuati
         else:
             branch = StableBranch.SHIFT_COMPENSATED
     else:
-        fluct, branch = Fluctuation.BOUNDARY, None
+        fluct = Fluctuation.BOUNDARY
 
+    if alpha >= 1.0:
+        return RegimeReport(fluctuation=fluct, lln=Lln.FULL, stable_branch=branch)
     lln_line = (1.0 - alpha) * gamma1
     if gamma2 > lln_line or gamma2 < min(lln_line, smallness_line):
         lln = Lln.FULL
@@ -135,34 +155,7 @@ def _classify_lt1(alpha: float, gamma1: float, gamma2: float) -> tuple[Fluctuati
         lln = Lln.NONE
     else:
         lln = Lln.BOUNDARY
-    return fluct, branch, lln
-
-
-def _classify_ge1(alpha: float, gamma1: float, gamma2: float) -> tuple[Fluctuation, StableBranch | None]:
-    clt_line = (2.0 - alpha) * gamma1
-    smallness_line = 1.0 - alpha * gamma1
-    if gamma2 > clt_line or gamma2 < min(clt_line, smallness_line):
-        return Fluctuation.CLT_FULL, None
-    if gamma2 == clt_line or gamma2 == smallness_line:
-        return Fluctuation.BOUNDARY, None
-    return Fluctuation.STABLE, StableBranch.SHIFT_ZERO
-
-
-def classify(alpha: float, gamma1: float, gamma2: float) -> RegimeReport:
-    """Classify a parameter point into fluctuation and LLN regimes and a zone.
-
-    Zones are defined only for alpha in (0, 1); boundary points carry no zone.
-    """
-    # Validate through the shared parameter type (lam is irrelevant here).
-    ModelParams(alpha=alpha, lam=1.0, gamma1=gamma1, gamma2=gamma2)
-
-    if alpha < 1.0:
-        fluct, branch, lln = _classify_lt1(alpha, gamma1, gamma2)
-        zone = _ZONE_TABLE.get((fluct, lln))
-        return RegimeReport(fluctuation=fluct, lln=lln, zone=zone, stable_branch=branch)
-
-    fluct, branch = _classify_ge1(alpha, gamma1, gamma2)
-    return RegimeReport(fluctuation=fluct, lln=Lln.FULL, zone=None, stable_branch=branch)
+    return RegimeReport(fluctuation=fluct, lln=lln, zone=_ZONE_TABLE.get((fluct, lln)), stable_branch=branch)
 
 
 def normalization_plan(params: ModelParams, inst: InstanceParams, report: RegimeReport) -> NormalizationPlan:
@@ -189,31 +182,15 @@ def normalization_plan(params: ModelParams, inst: InstanceParams, report: Regime
             limit="std_normal",
         )
     if report.fluctuation is Fluctuation.CLT_LIGHT_PART:
-        light_mean = mu1(1.0, params.lam)
         return NormalizationPlan(
-            center=n * light_mean,
+            center=n * mu1(1.0, params.lam),
             scale=(n / params.lam**2) ** 0.5,
             limit="std_normal",
         )
 
     beta_n = float(n) ** ((1.0 - params.gamma2) / alpha)
-    if alpha < 1.0:
-        comp_term = alpha / (1.0 - alpha)
-        light_center = n * mu1(1.0, params.lam)
-        if report.stable_branch is StableBranch.SHIFT_ZERO:
-            center, compensated = light_center, False
-        elif report.stable_branch is StableBranch.SHIFT_COMPENSATED_EDGE:
-            center, compensated = light_center + comp_term * beta_n, True
-        else:
-            center, compensated = comp_term * beta_n, True
-        return NormalizationPlan(
-            center=center,
-            scale=beta_n,
-            limit="stable",
-            stable_spec=StableLimitSpec(alpha=alpha, tail_const=1.0, shift=0.0),
-            stable_compensated=compensated,
-        )
-
+    window = 0.0 if alpha == 1.0 else alpha / (1.0 - alpha)  # compensation window's mass
+    branch = report.stable_branch
     # alpha > 1: center at the exact mean.  The compensated reference has
     # mean alpha/(alpha-1); shifting by alpha/(1-alpha) recentres it at zero,
     # matching the exactly-centered statistic.  At alpha = 1 the limit has no
@@ -221,13 +198,16 @@ def normalization_plan(params: ModelParams, inst: InstanceParams, report: Regime
     # the truncated mean n E[Z 1{Z <= beta_n}] truncates exactly at the
     # compensation window of the unshifted reference (Feller II, XVII.5).
     if alpha == 1.0:
-        center, shift = beta_n * centering_a_n(params, inst, beta_n), 0.0
+        center = beta_n * centering_a_n(params, inst, beta_n)
+    elif alpha > 1.0:
+        center = n * mean_z(params, inst)
     else:
-        center, shift = n * mean_z(params, inst), alpha / (1.0 - alpha)
+        light = 0.0 if branch is StableBranch.SHIFT_COMPENSATED else n * mu1(1.0, params.lam)
+        center = light + (0.0 if branch is StableBranch.SHIFT_ZERO else window * beta_n)
     return NormalizationPlan(
         center=center,
         scale=beta_n,
         limit="stable",
-        stable_spec=StableLimitSpec(alpha=alpha, tail_const=1.0, shift=shift),
-        stable_compensated=True,
+        stable_spec=StableLimitSpec(alpha=alpha, tail_const=1.0, shift=window if alpha > 1.0 else 0.0),
+        stable_compensated=alpha >= 1.0 or branch is not StableBranch.SHIFT_ZERO,
     )

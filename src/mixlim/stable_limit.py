@@ -110,23 +110,15 @@ def _bulk_decay_const(spec: StableLimitSpec) -> float:
     return spec.tail_const * gamma(1.0 - alpha) * math.cos(alpha * math.pi / 2.0)
 
 
-def support_lower_bound(spec: StableLimitSpec, compensated: bool) -> float:
-    """Left endpoint of the support; -inf when alpha >= 1."""
-    if spec.alpha >= 1.0:
-        return -math.inf
-    bound = spec.shift
-    if compensated:
-        bound -= spec.tail_const * spec.alpha / (1.0 - spec.alpha)
-    return bound
-
-
 def cdf(x, spec: StableLimitSpec, compensated: bool):
     """Distribution function by Gil-Pelaez inversion of exp(char_exponent).
 
     F(x) = 1/2 - (1/pi) int_0^umax Im[e^{-iux} phi(u)] / u du, truncated where
     |phi| < 1e-10; the discarded tail is bounded by 1e-10/(alpha ln(1e10)) and
     is inside the 1e-6 error budget.  Raises ArithmeticError when the
-    quadrature error estimate exceeds the budget.
+    quadrature error estimate exceeds the budget.  For alpha < 1 the
+    compensated law is the uncompensated one translated left by the window
+    mass tail_const * alpha/(1 - alpha), so it is evaluated as that.
     """
     _check_compensation(spec, compensated)
     x_arr = np.asarray(x, dtype=np.float64)
@@ -134,9 +126,11 @@ def cdf(x, spec: StableLimitSpec, compensated: bool):
         return np.array([cdf(float(v), spec, compensated) for v in x_arr])
 
     xv = float(x_arr)
-    lower = support_lower_bound(spec, compensated)
-    if xv <= lower:
-        return 0.0
+    if spec.alpha < 1.0:
+        if compensated:
+            return cdf(xv + spec.tail_const * spec.alpha / (1.0 - spec.alpha), spec, False)
+        if xv <= spec.shift:
+            return 0.0
 
     u_max = (-math.log(_TRUNCATION_TOL) / _bulk_decay_const(spec)) ** (1.0 / spec.alpha)
     u_split = min(1.0, 1.0 / max(1.0, abs(xv)))

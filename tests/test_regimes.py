@@ -1,5 +1,7 @@
-"""Classifier spot checks, partition/frontier properties, and plan contracts."""
+"""Classifier spot checks, partition/frontier properties, plan contracts, and
+a golden table of classes and plans."""
 
+import hashlib
 import math
 
 import pytest
@@ -17,6 +19,7 @@ from mixlim import (
     normalization_plan,
     var_z,
 )
+from mixlim.cli import _parse_range
 
 from conftest import oracle_centering
 
@@ -213,3 +216,78 @@ class TestNormalizationPlan:
                         plan = normalization_plan(p, derive_instance(p, n), r)
                         assert plan.scale > 0.0
                         assert math.isfinite(plan.center)
+
+
+# Golden regime table: sha256 digests of ``classify`` on fixed grids and of
+# ``normalization_plan`` on a fixed subset.  Floats are written with
+# ``float.hex``, so any change of class, branch, zone, center, scale or
+# reference law shows up; a change that moves one on purpose records new
+# digests and says why.
+SWEEP_GRID = [k / 20 for k in range(1, 61)]   # the grid perfbench's sweep screens
+README_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.25, 1.5, 1.75)
+FRONTIER_ALPHAS = (0.25, 0.5, 0.75, 1.0, 1.5)
+FRONTIER_GAMMA1 = (0.25, 0.5, 0.6, 1.0, 1.2, 2.0, 3.0)
+PLAN_GRID = [k / 4 for k in range(1, 13)]
+PLAN_NS = (10**2, 10**4, 10**6)
+PLAN_LAMS = (0.7, 1.0, 2.0)
+
+GOLDEN_REGIMES = {
+    "frontier": "a822c85ed49909408f9dc22499101e2f2b6fd0f05c40d1ddb01f4c2e26fe2816",
+    "plans": "7e48d015df570f3465b95ebce0e7d9c36b803210ee9a7a9d25ea199998138448",
+    "readme": "96dbccfe34ad5d18abfca17fec4e864a7abfb62a5c4267ff439c202840bb7832",
+    "sweep": "abb145242d6a8867bb2098c243196eed8759d18882f780e58828e48f2437f0ce",
+}
+
+
+def _class_line(alpha, g1, g2):
+    r = classify(alpha, g1, g2)
+    branch = r.stable_branch.value if r.stable_branch is not None else "-"
+    return f"{alpha.hex()} {g1.hex()} {g2.hex()} {r.fluctuation.value} {r.lln.value} {r.zone} {branch}"
+
+
+def _frontier_points():
+    """Points on each frontier line, and one ulp either side of it."""
+    for alpha in FRONTIER_ALPHAS:
+        for g1 in FRONTIER_GAMMA1:
+            lines = (
+                (2.0 - alpha) * g1,     # full CLT
+                1.0 - alpha * g1,       # smallness
+                1.0 - alpha / 2.0,      # light-part CLT
+                1.0 - alpha,            # stable branch / LLN none
+                (1.0 - alpha) * g1,     # LLN full
+            )
+            for line in lines:
+                for g2 in (math.nextafter(line, -math.inf), line, math.nextafter(line, math.inf)):
+                    if g2 > 0.0:
+                        yield alpha, g1, g2
+
+
+def _plan_line(alpha, g1, g2, n, lam):
+    p = ModelParams(alpha=alpha, lam=lam, gamma1=g1, gamma2=g2)
+    head = f"{alpha.hex()} {g1.hex()} {g2.hex()} {n} {lam.hex()}"
+    try:
+        plan = normalization_plan(p, derive_instance(p, n), classify(alpha, g1, g2))
+    except (ValueError, ArithmeticError) as exc:
+        return f"{head} {type(exc).__name__}: {exc}"
+    spec = plan.stable_spec
+    spec_text = "-" if spec is None else f"{spec.alpha.hex()} {spec.tail_const.hex()} {spec.shift.hex()}"
+    return (f"{head} {plan.center.hex()} {plan.scale.hex()} {plan.limit} {spec_text} "
+            f"{plan.stable_compensated}")
+
+
+def _regime_lines(table):
+    if table == "sweep":
+        return [_class_line(a, g1, g2) for a in (0.5, 1.5) for g1 in SWEEP_GRID for g2 in SWEEP_GRID]
+    if table == "readme":
+        grid = _parse_range("0.05:3:0.05")
+        return [_class_line(a, g1, g2) for a in README_ALPHAS for g1 in grid for g2 in grid]
+    if table == "frontier":
+        return [_class_line(*point) for point in _frontier_points()]
+    return [_plan_line(a, g1, g2, n, lam) for a in README_ALPHAS for g1 in PLAN_GRID
+            for g2 in PLAN_GRID for n in PLAN_NS for lam in PLAN_LAMS]
+
+
+@pytest.mark.parametrize("table", sorted(GOLDEN_REGIMES))
+def test_golden_regime_table(table):
+    text = "\n".join(_regime_lines(table)) + "\n"
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN_REGIMES[table]

@@ -140,6 +140,26 @@ class TestCdf:
         assert cdf(-3.0, spec, False) == 0.0
         assert cdf(1e-4, spec, False) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [0.2, 0.25, 0.3])
+    def test_compensated_near_support_edge(self, alpha):
+        """Just right of the edge -alpha/(1-alpha) the compensated CDF converges
+        and is the uncompensated CDF at the translated point."""
+        spec = StableLimitSpec(alpha=alpha)
+        window = alpha / (1.0 - alpha)
+        for d in (0.1, 1.0):
+            x = -window + d
+            value = cdf(x, spec, True)
+            assert value == cdf(x + window, spec, False)
+            assert 0.0 < value < 1.0
+
+    def test_compensated_levy_is_shifted_by_minus_one(self):
+        """At alpha = 1/2 the window mass is 1: F(x) = erfc(sqrt(pi)/(2 sqrt(x + 1)))."""
+        spec = StableLimitSpec(alpha=0.5)
+        for x in (-0.9, -0.5, 0.0, 1.0, 4.0):
+            want = erfc(math.sqrt(math.pi) / (2.0 * math.sqrt(x + 1.0)))
+            assert cdf(x, spec, True) == pytest.approx(want, abs=1e-6)
+        assert cdf(-1.0, spec, True) == 0.0
+
     def test_monotone(self):
         for alpha, compensated in ((0.5, False), (0.5, True), (1.5, True), (1.0, True)):
             spec = StableLimitSpec(alpha=alpha)
