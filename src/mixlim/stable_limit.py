@@ -11,28 +11,29 @@ Two variants are evaluated:
   alpha < 1 this equals the uncompensated law translated left by
   tail_const * alpha / (1 - alpha), the mass of the compensation window.
 
-The exponent is in closed form at every alpha: for alpha != 1 via the
-principal branch of Gamma(-alpha) * (-iu)**alpha, and at alpha = 1 (where
-only the compensated law exists) via the logarithmic form of Sato, "Levy
-Processes and Infinitely Divisible Distributions", Lemma 14.11.  In Nolan's
-S1 parametrization the alpha = 1 law is S(1, beta=1, sigma=tail_const*pi/2,
-mu=tail_const*(1 - Euler gamma) + shift).  All samplers are exact.
+Each law is Nolan's S1 law S(alpha, beta=1, sigma, mu).  The exponent is in
+closed form at every alpha (at alpha = 1, where only the compensated law
+exists, by Sato, "Levy Processes and Infinitely Divisible Distributions",
+Lemma 14.11); the CDF is Nolan's integral over a finite angle interval
+(Stochastic Models 13, 1997); the samplers are exact.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["StableLimitSpec", "char_exponent", "cdf", "sample_stable"]
 
-# Stop the inversion integral where |exp(Re psi(u))| drops below this.
-_TRUNCATION_TOL = 1e-10
-# Absolute error budget for one CDF evaluation (quadrature + truncation tail).
-_CDF_ERROR_BUDGET = 1e-6
+_CDF_ERROR_BUDGET = 1e-6  # absolute error budget for one CDF value
+# Tanh-sinh rule on [0, 1], step 1/32 to |t| = 3: per node the shares of the
+# interval below and above it (no cancellation near an end) and the weight.
+_TS_T = np.arange(-96, 97) / 32.0
+_TS_BELOW, _TS_ABOVE = 1.0 / (1.0 + np.exp(np.outer([-np.pi, np.pi], np.sinh(_TS_T))))
+_TS_WEIGHT = np.pi / 32.0 * np.cosh(_TS_T) * _TS_BELOW * _TS_ABOVE
+_CDF_BLOCK = 1024  # CDF points per block, which bounds the (points x nodes) arrays
 
 
 @dataclass(frozen=True)
@@ -100,77 +101,77 @@ def char_exponent(u, spec: StableLimitSpec, compensated: bool):
     return complex(psi[0]) if scalar else psi.reshape(u_arr.shape)
 
 
-def _bulk_decay_const(spec: StableLimitSpec) -> float:
-    """A > 0 with Re psi(u) = -A |u|**alpha."""
+def _s1_scale(spec: StableLimitSpec) -> float:
+    """Nolan's S1 scale sigma > 0, with Re psi(u) = -(sigma |u|)**alpha."""
     alpha = spec.alpha
     if alpha == 1.0:
         return spec.tail_const * math.pi / 2.0
     from scipy.special import gamma
 
-    return spec.tail_const * gamma(1.0 - alpha) * math.cos(alpha * math.pi / 2.0)
+    return (spec.tail_const * gamma(1.0 - alpha) * math.cos(alpha * math.pi / 2.0)) ** (1.0 / alpha)
+
+
+def _log_v(phi, psi, alpha: float, reflected: bool):
+    """log V of Nolan's integral (beta = -1 if reflected) at angles phi, psi from
+    its interval's ends; each sine takes the distance from its nearer zero."""
+    if alpha == 1.0:
+        cos_t = np.sin(np.minimum(phi, psi))
+        return np.log((2.0 / np.pi) * phi / cos_t) + phi * np.cos(psi) / cos_t
+    if alpha < 1.0:
+        a_cos, a_sin, a_tilt = np.minimum(phi, psi), alpha * phi, (1.0 - alpha) * phi
+    elif reflected:
+        a_cos, a_sin, a_tilt = psi, alpha * np.minimum(phi, psi), (alpha - 1.0) * psi
+    else:
+        a_cos, a_sin, a_tilt = psi, alpha * phi, np.pi / alpha - (alpha - 1.0) * phi
+    log_cos = math.log(abs(math.cos(alpha * math.pi / 2.0))) + np.log(np.sin(a_cos))
+    return (log_cos - alpha * np.log(np.sin(a_sin))) / (alpha - 1.0) + np.log(np.sin(a_tilt))
+
+
+def _nolan_integral(z, alpha: float, reflected: bool):
+    """(1/pi) int exp(-exp(log h + log V)) over Nolan's interval (h or V alone may
+    overflow), cut where h V = 1 as log V is monotone; with its rule-halving error."""
+    log_h = -np.pi / 2.0 * z if alpha == 1.0 else alpha / (alpha - 1.0) * np.log(np.abs(z))
+    span = np.pi / alpha if reflected else np.pi - np.pi / alpha if alpha > 1.0 else np.pi
+    lo, hi = np.zeros_like(log_h), np.ones_like(log_h)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        high = log_h + _log_v(span * mid, span * (1.0 - mid), alpha, reflected) > 0.0
+        lo, hi = np.where(high == (alpha <= 1.0), (lo, mid), (mid, hi))
+    cut = (0.5 * (lo + hi))[:, None]
+    full = half = 0.0
+    for start, width in ((0.0, cut), (cut, 1.0 - cut)):
+        below, above = start + width * _TS_BELOW, 1.0 - start - width + width * _TS_ABOVE
+        log_hv = log_h[:, None] + _log_v(span * below, span * above, alpha, reflected)
+        g = width * np.exp(-np.exp(np.minimum(log_hv, 700.0)))  # exp(-exp(700)) is already 0
+        full = full + (g * _TS_WEIGHT).sum(axis=1)
+        half = half + (g[:, ::2] * (2.0 * _TS_WEIGHT[::2])).sum(axis=1)
+    return span / np.pi * full, span / np.pi * np.abs(full - half)
 
 
 def cdf(x, spec: StableLimitSpec, compensated: bool):
-    """Distribution function by Gil-Pelaez inversion of exp(char_exponent).
+    """Distribution function by Nolan's integral, c0 +- (1/pi) int exp(-h V) dtheta.
 
-    F(x) = 1/2 - (1/pi) int_0^umax Im[e^{-iux} phi(u)] / u du, truncated where
-    |phi| < 1e-10; the discarded tail is bounded by 1e-10/(alpha ln(1e10)) and
-    is inside the 1e-6 error budget.  Raises ArithmeticError when the
-    quadrature error estimate exceeds the budget.  For alpha < 1 the
-    compensated law is the uncompensated one translated left by the window
-    mass tail_const * alpha/(1 - alpha), so it is evaluated as that.
-    """
+    z = (x - mu)/sigma in S1, h = |z|**(alpha/(alpha-1)) (exp(-pi z/2) at alpha
+    = 1), and Nolan's reflection for alpha > 1, z < 0; all x share one tanh-sinh
+    node set.  ArithmeticError when an error estimate exceeds 1e-6.  At alpha < 1
+    compensated is the uncompensated law at x + tail_const * alpha/(1 - alpha).
+    A scalar x gives a float, an array an array of its shape."""
     _check_compensation(spec, compensated)
-    x_arr = np.asarray(x, dtype=np.float64)
-    if x_arr.ndim > 0:
-        return np.array([cdf(float(v), spec, compensated) for v in x_arr])
-
-    xv = float(x_arr)
-    if spec.alpha < 1.0:
-        if compensated:
-            return cdf(xv + spec.tail_const * spec.alpha / (1.0 - spec.alpha), spec, False)
-        if xv <= spec.shift:
-            return 0.0
-
-    u_max = (-math.log(_TRUNCATION_TOL) / _bulk_decay_const(spec)) ** (1.0 / spec.alpha)
-    u_split = min(1.0, 1.0 / max(1.0, abs(xv)))
-
-    def phi_scalar(u):
-        return complex(np.exp(char_exponent(u, spec, compensated)))
-
-    def integrand_small(u):
-        return (phi_scalar(u) * complex(math.cos(u * xv), -math.sin(u * xv))).imag / u
-
-    def im_phi_over_u(u):
-        return phi_scalar(u).imag / u
-
-    def re_phi_over_u(u):
-        return phi_scalar(u).real / u
-
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        i_small, err_small = integrate.quad(
-            integrand_small, 0.0, u_split, epsabs=1e-10, epsrel=1e-9, limit=400,
-        )
-        i_cos, err_cos = integrate.quad(
-            im_phi_over_u, u_split, u_max,
-            weight="cos", wvar=xv, epsabs=1e-10, limit=800,
-        )
-        i_sin, err_sin = integrate.quad(
-            re_phi_over_u, u_split, u_max,
-            weight="sin", wvar=xv, epsabs=1e-10, limit=800,
-        )
-    trunc_err = _TRUNCATION_TOL / (spec.alpha * -math.log(_TRUNCATION_TOL))
-    total_err = (err_small + err_cos + err_sin) / math.pi + trunc_err
-    if not math.isfinite(total_err) or total_err > _CDF_ERROR_BUDGET:
-        raise ArithmeticError(
-            f"CDF inversion did not converge at x={xv} "
-            f"(alpha={spec.alpha}, error estimate {total_err:.3e})"
-        )
-    value = 0.5 - (i_small + i_cos - i_sin) / math.pi
-    return min(1.0, max(0.0, value))
+    alpha, c = spec.alpha, spec.tail_const
+    window = c * alpha / (1.0 - alpha) if compensated and alpha < 1.0 else 0.0
+    sigma = _s1_scale(spec)
+    mu = spec.shift + (c * (math.log(sigma) + 1.0 - np.euler_gamma) if alpha == 1.0
+                       else c * alpha / (alpha - 1.0) if alpha > 1.0 else 0.0)
+    z = np.atleast_1d((np.asarray(x, dtype=np.float64) + window - mu) / sigma).ravel()
+    value, error = (alpha > 1.0) * np.where(z == 0.0, 1.0 / alpha, z > 0.0), np.zeros_like(z)
+    for part, reflected in (~(z <= 0.0) | (alpha == 1.0), False), ((z < 0.0) & (alpha > 1.0), True):
+        ids = np.flatnonzero(part)
+        for idx in (ids[k:k + _CDF_BLOCK] for k in range(0, ids.size, _CDF_BLOCK)):
+            integral, error[idx] = _nolan_integral(z[idx], alpha, reflected)
+            value[idx] += -integral if alpha > 1.0 and not reflected else integral
+    if not error.max(initial=0.0) <= _CDF_ERROR_BUDGET:
+        raise ArithmeticError(f"CDF error {error.max():.1e} at x={np.ravel(x)[error.argmax()]}")
+    return float(value[0]) if np.ndim(x) == 0 else value.reshape(np.shape(x))
 
 
 def _kanter_standard(rng, alpha: float, size: int) -> np.ndarray:
@@ -233,13 +234,12 @@ def sample_stable(rng, spec: StableLimitSpec, compensated: bool, size: int | Non
                tail_const)**(1/alpha), so the Laplace transform of the
                unshifted, uncompensated draw is exp(-Gamma(1-alpha) *
                tail_const * s**alpha);
-    alpha > 1  Chambers-Mallows-Stuck, scaled by (tail_const * Gamma(1-alpha)
-               * cos(pi alpha / 2))**(1/alpha) and recentred by tail_const *
-               alpha/(alpha-1), which matches exp(char_exponent) exactly;
+    alpha > 1  Chambers-Mallows-Stuck, scaled by the S1 scale sigma and
+               recentred by tail_const * alpha/(alpha-1), which matches
+               exp(char_exponent) exactly;
     alpha = 1  Chambers-Mallows-Stuck in Weron's form for beta = 1, giving
-               S(1, 1, sigma, mu) with sigma = tail_const * pi/2 and mu =
-               tail_const * (1 - Euler gamma) + shift, which matches
-               exp(char_exponent) exactly (compensated only).
+               S(1, 1, sigma, mu) with mu = tail_const * (1 - Euler gamma) +
+               shift, which matches exp(char_exponent) exactly (compensated only).
 
     Every branch consumes two uniforms per draw.  For alpha != 1,
     compensation subtracts tail_const * alpha/(1-alpha) (adds, for alpha > 1).
@@ -258,11 +258,11 @@ def sample_stable(rng, spec: StableLimitSpec, compensated: bool, size: int | Non
         scale = (gamma(1.0 - alpha) * c) ** (1.0 / alpha)
         x = scale * _kanter_standard(rng, alpha, m)
     elif alpha > 1.0:
-        scale = _bulk_decay_const(spec) ** (1.0 / alpha)
+        scale = _s1_scale(spec)
         x = scale * _cms_spectrally_positive(rng, alpha, m)
     else:
         # sigma X + (2/pi) sigma ln(sigma) + mu: Weron's rescaling at beta = 1
-        sigma = _bulk_decay_const(spec)
+        sigma = _s1_scale(spec)
         x = sigma * _cms_alpha_one(rng, m) + c * (math.log(sigma) + 1.0 - np.euler_gamma)
 
     x = x + spec.shift

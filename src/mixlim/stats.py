@@ -90,15 +90,15 @@ def ks_two_sample(a, b, level: float = 0.01) -> TestResult:
 def ecf_distance(sample, exponent, u_grid) -> float:
     """Sup over the grid of |empirical CF - exp(exponent(u))|.
 
-    ``exponent`` maps a real u to the complex characteristic exponent of the
-    reference law; the empirical CF is the sample mean of exp(i u x).
+    ``exponent`` maps the whole grid u, an array, to the reference law's complex
+    characteristic exponents; the empirical CF is the sample mean of exp(i u x).
     """
     x = np.asarray(sample, dtype=np.float64)
     u = np.asarray(u_grid, dtype=np.float64)
     if x.size == 0 or u.size == 0:
         raise ValueError("sample and grid must be nonempty")
     ecf = np.exp(1j * np.outer(u, x)).mean(axis=1)
-    target = np.exp(np.asarray([exponent(float(v)) for v in u], dtype=np.complex128))
+    target = np.exp(np.asarray(exponent(u), dtype=np.complex128))
     return float(np.max(np.abs(ecf - target)))
 
 

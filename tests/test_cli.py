@@ -489,14 +489,26 @@ print(" ".join(name for name in sys.modules if name.startswith("scipy")))
 """
 
 
-@pytest.mark.parametrize("argv, absent", [
-    ([], "scipy"),
-    (["classify", *_point("0.5", "2", "0.3")], "scipy"),
-    (["verify", *_point("0.5", "2", "0.3"), "--n-ladder", "2000", "--reps", "100"],
+_SCIPY_AFTER_CDF = """
+import sys
+import numpy as np
+from mixlim.stable_limit import StableLimitSpec, cdf
+for alpha in (0.5, 1.0, 1.5):
+    cdf(np.linspace(-2.0, 8.0, 11), StableLimitSpec(alpha), True)
+print(" ".join(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+@pytest.mark.parametrize("script, absent", [
+    (_SCIPY_AFTER_MAIN.format(argv=[]), "scipy"),
+    (_SCIPY_AFTER_MAIN.format(argv=["classify", *_point("0.5", "2", "0.3")]), "scipy"),
+    (_SCIPY_AFTER_MAIN.format(argv=["verify", *_point("0.5", "2", "0.3"),
+                                    "--n-ladder", "2000", "--reps", "100"]),
      "scipy.integrate"),
-], ids=["import", "classify", "verify-stable"])
-def test_scipy_is_loaded_on_first_use(argv, absent):
-    proc = _fresh_python("-c", _SCIPY_AFTER_MAIN.format(argv=argv))
+    (_SCIPY_AFTER_CDF, "scipy.integrate"),
+], ids=["import", "classify", "verify-stable", "cdf-array"])
+def test_scipy_is_loaded_on_first_use(script, absent):
+    proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert [name for name in loaded if name == absent or name.startswith(absent + ".")] == []
@@ -523,16 +535,16 @@ print(lyapounov_ratio(params, derive_instance(params, 10**5)).hex(),
 
 def test_lazy_scipy_imports_resolve_the_same_functions():
     """One value behind each lazily imported scipy function, pinned to the
-    bit: ``quad`` (``lyapounov_ratio`` and ``cdf``), ``gamma``
-    (``char_exponent`` at alpha = 1.5, where ``math.gamma`` differs by an ulp)
-    and ``ndtr`` (a normal rung's KS statistic, which 0.5 * erfc(-x/sqrt 2)
-    moves).  A lazy import that resolved to another implementation would
-    change one of them."""
+    bit: ``quad`` (``lyapounov_ratio``), ``gamma`` (``char_exponent`` at
+    alpha = 1.5, where ``math.gamma`` differs by an ulp, and ``cdf`` through
+    its scale sigma) and ``ndtr`` (a normal rung's KS statistic, which
+    0.5 * erfc(-x/sqrt 2) moves).  A lazy import that resolved to another
+    implementation would change one of them."""
     proc = _fresh_python("-c", _LAZY_SCIPY_VALUES)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "0x1.c7fa66fd91a98p+2",  # lyapounov_ratio, zone 2 point at n = 1e5
-        "0x1.6b1adc13aa928p-2",  # cdf(0.7), alpha = 1.5, compensated
+        "0x1.6b1adc13ad2ecp-2",  # cdf(0.7), alpha = 1.5, compensated
         "-0x1.77d1456d85b17p+0", "0x1.4390a85827d00p-1",  # char_exponent(0.7)
         "0x1.abcab2a1bfad8p-5",  # normal KS statistic, zone 1, n = 2000, 100 rows
     ]

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import erfc
+from scipy.stats import levy_stable
 
+import mixlim.stable_limit
 from mixlim import (
     RngStream,
     StableLimitSpec,
@@ -130,7 +132,7 @@ class TestCdf:
     def test_levy_closed_form(self):
         """alpha = 1/2, tail_const 1 is the Levy law: F(x) = erfc(sqrt(pi)/(2 sqrt(x)))."""
         spec = StableLimitSpec(alpha=0.5)
-        for x in (0.5, 1.0, 2.0, 5.0):
+        for x in (0.5, 1.0, 2.0, 5.0, 1e6, 1e7):
             want = erfc(math.sqrt(math.pi) / (2.0 * math.sqrt(x)))
             assert cdf(x, spec, False) == pytest.approx(want, abs=1e-6)
 
@@ -159,6 +161,60 @@ class TestCdf:
             want = erfc(math.sqrt(math.pi) / (2.0 * math.sqrt(x + 1.0)))
             assert cdf(x, spec, True) == pytest.approx(want, abs=1e-6)
         assert cdf(-1.0, spec, True) == 0.0
+
+    @pytest.mark.parametrize("c, shift", [(1.0, 0.0), (0.7, 0.3), (2.5, -1.0)])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.15, 0.5, 0.8, 1.0, 1.2, 1.5, 1.9])
+    def test_matches_levy_stable_s1(self, alpha, c, shift):
+        """scipy's levy_stable (S1) at 60 quantiles, through Nolan's S1 map:
+        sigma**alpha = c Gamma(1-alpha) cos(pi alpha/2) and location shift, less
+        c alpha/(1-alpha) if compensated; at alpha = 1, sigma = c pi/2 and location
+        c (1 - Euler gamma) + shift.  Points within 0.01 sigma of zeta, where
+        levy_stable returns F(zeta), are skipped."""
+        for compensated in (False, True) if alpha < 1.0 else (True,):
+            spec = StableLimitSpec(alpha=alpha, tail_const=c, shift=shift)
+            if alpha == 1.0:
+                sigma, loc = c * math.pi / 2.0, c * (1.0 - np.euler_gamma) + shift
+                zeta = loc + c * math.log(sigma)
+            else:
+                sigma_alpha = c * math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0)
+                sigma = sigma_alpha ** (1.0 / alpha)
+                loc = zeta = shift - (c * alpha / (1.0 - alpha) if compensated else 0.0)
+            draws = sample_stable(RngStream(7), spec, compensated, size=4000)
+            xs = np.quantile(draws, (np.arange(60) + 0.5) / 60.0)
+            xs = xs[np.abs(xs - zeta) > 0.01 * sigma]
+            assert xs.size > 40
+            want = levy_stable.cdf(xs, alpha, 1.0, loc=loc, scale=sigma)
+            assert np.max(np.abs(cdf(xs, spec, compensated) - want)) < 1e-6
+
+    @pytest.mark.parametrize("alpha, compensated",
+                             [(0.5, False), (0.5, True), (1.0, True), (1.5, True)])
+    def test_array_call_is_the_scalar_calls(self, alpha, compensated):
+        spec = StableLimitSpec(alpha=alpha)
+        xs = np.linspace(-3.0, 12.0, 24).reshape(4, 6)
+        values = cdf(xs, spec, compensated)
+        assert values.shape == xs.shape
+        scalars = [cdf(float(x), spec, compensated) for x in xs.ravel()]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(values.ravel(), scalars)
+
+    def test_no_warning_at_extreme_alphas(self):
+        xs = np.concatenate([-np.logspace(3.0, -3.0, 13), [0.0], np.logspace(-3.0, 12.0, 31)])
+        cases = ((0.05, False), (0.05, True), (1.0, True), (1.99, True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha, compensated in cases:
+                values = cdf(xs, StableLimitSpec(alpha=alpha), compensated)
+                assert np.all((0.0 <= values) & (values <= 1.0))
+                assert np.all(np.diff(values) >= -1e-12)
+
+    def test_unmet_error_budget_raises(self, monkeypatch):
+        spec = StableLimitSpec(alpha=1.5)
+        with pytest.raises(ArithmeticError):
+            cdf(np.nan, spec, True)
+        monkeypatch.setattr(mixlim.stable_limit, "_CDF_ERROR_BUDGET", 1e-300)
+        for x in (0.7, np.array([-1.0, 0.7, 3.0])):
+            with pytest.raises(ArithmeticError):
+                cdf(x, spec, True)
 
     def test_monotone(self):
         for alpha, compensated in ((0.5, False), (0.5, True), (1.5, True), (1.0, True)):
