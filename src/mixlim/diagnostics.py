@@ -10,10 +10,12 @@ truncated-variance functional at a fixed window (the Gaussian-part detector).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import InstanceParams, ModelParams, _mixture_moment, _pareto_mass, mean_z, var_z
+from .stable_limit import _tanh_sinh
 
 __all__ = [
     "DiagnosticsReport",
@@ -72,61 +74,34 @@ def tail_sum(x: float, params: ModelParams, inst: InstanceParams, beta_n: float)
     return inst.n * ((1.0 - inst.eps_n) * light + inst.eps_n * heavy)
 
 
-def _quad(fn, a: float, b: float, rel: float = 1e-9) -> tuple[float, float]:
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        value, err = integrate.quad(fn, a, b, epsabs=0.0, epsrel=rel, limit=400)
-    return value, err
-
-
 def _abs_central_moment(params: ModelParams, inst: InstanceParams, order: float) -> float:
-    """E|Z - EZ|**order by adaptive quadrature over the mixture density.
+    """E|Z - c|**order about c = EZ, on the tanh-sinh rule of ``stable_limit``.
 
-    The light part integrates lam e^{-lam x} on [0, inf), the heavy part
-    alpha x^{-alpha-1}/(1 - m^-alpha) on [1, m]; both are split at the
-    |x - EZ| kink.  Heavy integrals run in log-space so enormous truncation
-    levels stay well conditioned.
+    Light part: (c - x)**order lam e^{-lam x} on [0, min(c, 745/lam)] (past
+    745/lam the density is below e^-745), plus e^{-lam c} Gamma(order+1) /
+    lam**order above c in closed form.  Heavy part: alpha x**-alpha over t = ln x
+    on [0, ln m], split at the point x0 of [1, m] nearest c, with |x - c| formed
+    from x0 by expm1, so huge m and c stay well conditioned.  ArithmeticError
+    when the summed rule-halving estimates exceed 1e-6 of the total.
     """
     lam, alpha, eps, m = params.lam, params.alpha, inst.eps_n, inst.m_n
-    center = mean_z(params, inst)
-
-    def light_part(x):
-        return abs(x - center) ** order * lam * math.exp(-lam * x)
-
-    pieces = []
-    errs = []
-    split = min(max(center, 0.0), 700.0 / lam)
-    for a, b in ((0.0, split), (split, math.inf)):
-        if a < b:
-            val, err = _quad(light_part, a, b)
-            pieces.append((1.0 - eps) * val)
-            errs.append((1.0 - eps) * err)
-
-    if eps > 0.0:
-        denom = _pareto_mass(alpha, m)
-
-        def heavy_part_log(t):
-            x = math.exp(t)
-            return abs(x - center) ** order * alpha * math.exp(-alpha * t) / denom
-
-        log_m = math.log(m)
-        heavy_splits = [0.0]
-        if 1.0 < center < m:
-            heavy_splits.append(math.log(center))
-        heavy_splits.append(log_m)
-        for a, b in zip(heavy_splits, heavy_splits[1:]):
-            if a < b:
-                val, err = _quad(heavy_part_log, a, b)
-                pieces.append(eps * val)
-                errs.append(eps * err)
-
-    total = math.fsum(pieces)
-    if total > 0.0 and math.fsum(errs) / total > 1e-6:
+    c = mean_z(params, inst)
+    top = min(c, 745.0 / lam)
+    light = _tanh_sinh(lambda x, d: lam * np.exp(-lam * x) * (c - top + d) ** order, top)
+    above_c = math.gamma(order + 1.0) * math.exp(-lam * c) / lam**order
+    x0 = min(max(c, 1.0), m)
+    log_x0, gap = math.log(x0), abs(c - x0)
+    heavy_below = _tanh_sinh(lambda t, d: (gap - x0 * np.expm1(-d)) ** order * np.exp(-alpha * t), log_x0)
+    heavy_above = _tanh_sinh(lambda d, _: (gap + x0 * np.expm1(d)) ** order * np.exp(-alpha * (log_x0 + d)),
+                             math.log(m) - log_x0)
+    heavy_weight = eps * alpha / _pareto_mass(alpha, m)
+    parts = [((1.0 - eps), light), (heavy_weight, heavy_below), (heavy_weight, heavy_above)]
+    total = math.fsum([(1.0 - eps) * above_c] + [w * value for w, (value, _) in parts])
+    error = math.fsum(w * abs(delta) for w, (_, delta) in parts)
+    if total > 0.0 and error / total > 1e-6:
         raise ArithmeticError(
             f"absolute-moment quadrature did not reach 1e-6 relative accuracy "
-            f"(estimate {math.fsum(errs) / total:.3e})"
+            f"(estimate {error / total:.3e})"
         )
     return total
 

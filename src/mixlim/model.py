@@ -111,9 +111,7 @@ def mu1(s: float, lam: float, b: float = math.inf) -> float:
         raise ValueError(f"a finite window b needs moment order 1 or 2, got {s}")
     lb = lam * b
     if lb > 745.0:
-        from scipy.special import gamma
-
-        return float(gamma(s + 1.0)) / lam**s
+        return math.gamma(s + 1.0) / lam**s
     if b <= 0.0:
         return 0.0
     tail = math.exp(-lb)

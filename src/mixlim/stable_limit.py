@@ -92,9 +92,7 @@ def char_exponent(u, spec: StableLimitSpec, compensated: bool):
         log_abs = np.log(np.abs(u_flat), out=np.zeros_like(u_flat), where=u_flat != 0.0)
         psi = c * (-(np.pi / 2.0) * np.abs(u_flat) + 1j * u_flat * (1.0 - np.euler_gamma - log_abs))
     else:
-        from scipy.special import gamma
-
-        psi = -c * gamma(1.0 - alpha) * _minus_iu_pow(u_flat, alpha)
+        psi = -c * math.gamma(1.0 - alpha) * _minus_iu_pow(u_flat, alpha)
         if compensated:
             psi = psi - 1j * u_flat * (c * alpha / (1.0 - alpha))
     psi = psi + 1j * u_flat * spec.shift
@@ -106,9 +104,7 @@ def _s1_scale(spec: StableLimitSpec) -> float:
     alpha = spec.alpha
     if alpha == 1.0:
         return spec.tail_const * math.pi / 2.0
-    from scipy.special import gamma
-
-    return (spec.tail_const * gamma(1.0 - alpha) * math.cos(alpha * math.pi / 2.0)) ** (1.0 / alpha)
+    return (spec.tail_const * math.gamma(1.0 - alpha) * math.cos(alpha * math.pi / 2.0)) ** (1.0 / alpha)
 
 
 def _log_v(phi, psi, alpha: float, reflected: bool):
@@ -127,6 +123,16 @@ def _log_v(phi, psi, alpha: float, reflected: bool):
     return (log_cos - alpha * np.log(np.sin(a_sin))) / (alpha - 1.0) + np.log(np.sin(a_tilt))
 
 
+def _tanh_sinh(integrand, width):
+    """Tanh-sinh rule over an interval of the given width (an array of widths
+    adds a leading axis): ``integrand(below, above)`` gets each node's distances
+    from the two ends, so no node cancels near either.  Returns the rule's value
+    and its difference from the rule at twice the step (the halving estimate)."""
+    g = width * integrand(width * _TS_BELOW, width * _TS_ABOVE)
+    full = (g * _TS_WEIGHT).sum(axis=-1)
+    return full, full - (g[..., ::2] * (2.0 * _TS_WEIGHT[::2])).sum(axis=-1)
+
+
 def _nolan_integral(z, alpha: float, reflected: bool):
     """(1/pi) int exp(-exp(log h + log V)) over Nolan's interval (h or V alone may
     overflow), cut where h V = 1 as log V is monotone; with its rule-halving error."""
@@ -138,14 +144,14 @@ def _nolan_integral(z, alpha: float, reflected: bool):
         high = log_h + _log_v(span * mid, span * (1.0 - mid), alpha, reflected) > 0.0
         lo, hi = np.where(high == (alpha <= 1.0), (lo, mid), (mid, hi))
     cut = (0.5 * (lo + hi))[:, None]
-    full = half = 0.0
+    full = delta = 0.0
     for start, width in ((0.0, cut), (cut, 1.0 - cut)):
-        below, above = start + width * _TS_BELOW, 1.0 - start - width + width * _TS_ABOVE
-        log_hv = log_h[:, None] + _log_v(span * below, span * above, alpha, reflected)
-        g = width * np.exp(-np.exp(np.minimum(log_hv, 700.0)))  # exp(-exp(700)) is already 0
-        full = full + (g * _TS_WEIGHT).sum(axis=1)
-        half = half + (g[:, ::2] * (2.0 * _TS_WEIGHT[::2])).sum(axis=1)
-    return span / np.pi * full, span / np.pi * np.abs(full - half)
+        def g(below, above, start=start, rest=1.0 - start - width):
+            log_hv = log_h[:, None] + _log_v(span * (start + below), span * (rest + above), alpha, reflected)
+            return np.exp(-np.exp(np.minimum(log_hv, 700.0)))  # exp(-exp(700)) is already 0
+        part, part_delta = _tanh_sinh(g, width)
+        full, delta = full + part, delta + part_delta
+    return span / np.pi * full, span / np.pi * np.abs(delta)
 
 
 def cdf(x, spec: StableLimitSpec, compensated: bool):
@@ -177,17 +183,18 @@ def cdf(x, spec: StableLimitSpec, compensated: bool):
 def _kanter_standard(rng, alpha: float, size: int) -> np.ndarray:
     """Kanter variates K with E exp(-s K) = exp(-s**alpha), alpha in (0, 1).
 
-    Consumes two uniforms per draw (angle, exponential).
+    K = sin(alpha theta) / sin(theta)**(1/alpha) * (sin((1-alpha) theta) / w)
+    ** ((1-alpha)/alpha), formed in log space: near alpha = 1 or 0 a factor
+    alone may overflow where K does not.  Consumes two uniforms per draw
+    (angle, exponential).
     """
     u = rng.uniforms(2 * size)
     theta = np.pi * u[0::2]
     w = -np.log(u[1::2])
-    a = (
-        np.sin(alpha * theta) ** alpha
-        * np.sin((1.0 - alpha) * theta) ** (1.0 - alpha)
-        / np.sin(theta)
-    ) ** (1.0 / (1.0 - alpha))
-    return (a / w) ** ((1.0 - alpha) / alpha)
+    return np.exp(
+        np.log(np.sin(alpha * theta)) - np.log(np.sin(theta)) / alpha
+        + (1.0 - alpha) / alpha * np.log(np.sin((1.0 - alpha) * theta) / w)
+    )
 
 
 def _cms_spectrally_positive(rng, alpha: float, size: int) -> np.ndarray:
@@ -253,9 +260,7 @@ def sample_stable(rng, spec: StableLimitSpec, compensated: bool, size: int | Non
     c = spec.tail_const
 
     if alpha < 1.0:
-        from scipy.special import gamma
-
-        scale = (gamma(1.0 - alpha) * c) ** (1.0 / alpha)
+        scale = (math.gamma(1.0 - alpha) * c) ** (1.0 / alpha)
         x = scale * _kanter_standard(rng, alpha, m)
     elif alpha > 1.0:
         scale = _s1_scale(spec)

@@ -86,6 +86,33 @@ def oracle_centering(lam, alpha, eps, m, n, beta) -> float:
     return n / beta * ((1.0 - eps) * light + eps * heavy)
 
 
+def oracle_abs_central_moment(lam, alpha, eps, m, order) -> float:
+    """Quadrature of E|Z - EZ|**order over the mixture density.
+
+    Each component is split at the center c, where |x - c| has its kink; the
+    light part runs to infinity and the heavy part in t = ln x on [0, ln m].
+    """
+    center = oracle_mean_z(lam, alpha, eps, m)
+    split = min(center, 700.0 / lam)
+    light = sum(
+        integrate.quad(lambda x: abs(x - center) ** order * lam * math.exp(-lam * x),
+                       a, b, epsabs=0.0, epsrel=1e-11, limit=400)[0]
+        for a, b in ((0.0, split), (split, np.inf))
+    )
+    if eps == 0.0:
+        return light
+    log_m = math.log(m)
+    mass, _ = integrate.quad(lambda t: alpha * math.exp(-alpha * t), 0.0, log_m,
+                             epsabs=0.0, epsrel=1e-11, limit=400)
+    cuts = [0.0, math.log(center), log_m] if 1.0 < center < m else [0.0, log_m]
+    heavy = sum(
+        integrate.quad(lambda t: abs(math.exp(t) - center) ** order * alpha * math.exp(-alpha * t),
+                       a, b, epsabs=0.0, epsrel=1e-11, limit=400)[0]
+        for a, b in zip(cuts, cuts[1:])
+    )
+    return (1.0 - eps) * light + eps * heavy / mass
+
+
 @pytest.fixture(scope="session")
 def moment_grid():
     """(alpha, m) grid used by the moment-oracle comparisons."""

@@ -474,8 +474,8 @@ def test_golden_cli_contract(tmp_path, case):
 
 
 # ---------------------------------------------------------------------------
-# scipy is imported where it is called, not with the package.  These checks
-# run fresh interpreters, because the test modules themselves import scipy.
+# numpy is the only run-time dependency; scipy serves the tests as an oracle.
+# These checks run fresh interpreters, because the test modules import scipy.
 # ---------------------------------------------------------------------------
 
 _SCIPY_AFTER_MAIN = """
@@ -499,22 +499,38 @@ print(" ".join(name for name in sys.modules if name.startswith("scipy")))
 """
 
 
-@pytest.mark.parametrize("script, absent", [
-    (_SCIPY_AFTER_MAIN.format(argv=[]), "scipy"),
-    (_SCIPY_AFTER_MAIN.format(argv=["classify", *_point("0.5", "2", "0.3")]), "scipy"),
-    (_SCIPY_AFTER_MAIN.format(argv=["verify", *_point("0.5", "2", "0.3"),
-                                    "--n-ladder", "2000", "--reps", "100"]),
-     "scipy.integrate"),
-    (_SCIPY_AFTER_CDF, "scipy.integrate"),
-], ids=["import", "classify", "verify-stable", "cdf-array"])
-def test_scipy_is_loaded_on_first_use(script, absent):
+_SCIPY_AFTER_DIAGNOSTICS = """
+import sys
+import mixlim
+params = mixlim.ModelParams(alpha=1.5, lam=1.0, gamma1=1.25, gamma2=0.25)
+inst = mixlim.derive_instance(params, 10**4)
+plan = mixlim.normalization_plan(params, inst, mixlim.classify(1.5, 1.25, 0.25))
+mixlim.collect_diagnostics(params, inst, plan.scale)
+print(" ".join(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+@pytest.mark.parametrize("script", [
+    _SCIPY_AFTER_MAIN.format(argv=[]),
+    _SCIPY_AFTER_MAIN.format(argv=["classify", *_point("0.5", "2", "0.3")]),
+    _SCIPY_AFTER_MAIN.format(argv=["verify", *_point("0.5", "2", "0.3"),
+                                   "--n-ladder", "2000", "--reps", "100"]),
+    _SCIPY_AFTER_CDF,
+    _SCIPY_AFTER_MAIN.format(argv=["verify", *_point("0.5", "1", "2"),
+                                   "--n-ladder", "2000", "--reps", "100"]),
+    _SCIPY_AFTER_MAIN.format(argv=["moments", *_point("0.5", "2", "0.3"), "--n", "1000"]),
+    _SCIPY_AFTER_DIAGNOSTICS,
+], ids=["import", "classify", "verify-stable", "cdf-array", "verify-normal", "moments",
+        "diagnostics"])
+def test_scipy_is_loaded_on_first_use(script):
+    """No scipy module is loaded at all: not by the import, any command, the
+    CDF or the diagnostics at a screening-sweep point."""
     proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
-    assert [name for name in loaded if name == absent or name.startswith(absent + ".")] == []
+    assert proc.stdout.split() == []
 
 
-_LAZY_SCIPY_VALUES = """
+_FORMER_SCIPY_VALUES = """
 import contextlib, io, json
 from mixlim.cli import main
 from mixlim.diagnostics import lyapounov_ratio
@@ -533,22 +549,20 @@ print(lyapounov_ratio(params, derive_instance(params, 10**5)).hex(),
 """
 
 
-def test_lazy_scipy_imports_resolve_the_same_functions():
-    """One value behind each lazily imported scipy function, pinned to the
-    bit: ``quad`` (``lyapounov_ratio``), ``gamma`` (``char_exponent`` at
-    alpha = 1.5, where ``math.gamma`` differs by an ulp, and ``cdf`` through
-    its scale sigma) and ``ndtr`` (a normal rung's KS statistic, which
-    0.5 * erfc(-x/sqrt 2) moves).  A lazy import that resolved to another
-    implementation would change one of them."""
-    proc = _fresh_python("-c", _LAZY_SCIPY_VALUES)
+def test_one_value_behind_each_former_scipy_call():
+    """One value behind each call that once went to scipy, pinned to the bit:
+    ``quad``, now the tanh-sinh rule (``lyapounov_ratio``); ``gamma``, now
+    ``math.gamma`` (``char_exponent`` at alpha = 1.5, and ``cdf`` through its
+    scale sigma); and ``ndtr``, now 0.5 * erfc(-x/sqrt 2) (a normal rung's KS
+    statistic)."""
+    proc = _fresh_python("-c", _FORMER_SCIPY_VALUES)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "0x1.c7fa66fd91a98p+2",  # lyapounov_ratio, zone 2 point at n = 1e5
+        "0x1.c7fa66fd91197p+2",  # lyapounov_ratio, zone 2 point at n = 1e5
         "0x1.6b1adc13ad2ecp-2",  # cdf(0.7), alpha = 1.5, compensated
-        "-0x1.77d1456d85b17p+0", "0x1.4390a85827d00p-1",  # char_exponent(0.7)
-        "0x1.abcab2a1bfad8p-5",  # normal KS statistic, zone 1, n = 2000, 100 rows
+        "-0x1.77d1456d85b18p+0", "0x1.4390a85827cfep-1",  # char_exponent(0.7)
+        "0x1.abcab2a1bfad0p-5",  # normal KS statistic, zone 1, n = 2000, 100 rows
     ]
-
 
 if __name__ == "__main__":
     golden = {}

@@ -19,7 +19,9 @@ from mixlim import (
     var_z,
 )
 
-from conftest import oracle_centering
+from mixlim.diagnostics import _abs_central_moment
+
+from conftest import oracle_abs_central_moment, oracle_centering
 
 # E|X - 1|^3 for Exponential(1): 12/e - 2
 EXP_ABS_THIRD = 12.0 / math.e - 2.0
@@ -88,6 +90,29 @@ class TestLyapounov:
         p = ModelParams(alpha=0.5, lam=1.0, gamma1=1.0, gamma2=0.5)
         with pytest.raises(ValueError):
             lyapounov_ratio(p, derive_instance(p, 100), delta=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.5, 1.99])
+    @pytest.mark.parametrize("lam", [0.3, 2.0])
+    @pytest.mark.parametrize("order", [2.5, 3.0])
+    @pytest.mark.parametrize("n", [2, 10**4, 10**8])
+    def test_abs_moment_matches_quadrature_oracle(self, alpha, lam, order, n):
+        """E|Z - EZ|**order within 1e-9 of quadrature.  gamma1 = 0.5 puts EZ
+        above m at n = 2 and lam = 0.3; gamma1 = 2 puts it inside [1, m] or,
+        at lam = 2, below 1."""
+        for gamma1, gamma2 in ((0.5, 0.6), (2.0, 0.3)):
+            p = ModelParams(alpha=alpha, lam=lam, gamma1=gamma1, gamma2=gamma2)
+            inst = derive_instance(p, n)
+            want = oracle_abs_central_moment(lam, alpha, inst.eps_n, inst.m_n, order)
+            assert _abs_central_moment(p, inst, order) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("order", [2.5, 3.0])
+    def test_abs_moment_center_far_above_light_mass(self, order):
+        """EZ ~ 3.8e15 at alpha = 0.05, gamma1 = 3, gamma2 = 0.05, n = 1e6: a rule
+        over all of [0, EZ] would place no node where e^-x lives."""
+        p = ModelParams(alpha=0.05, lam=1.0, gamma1=3.0, gamma2=0.05)
+        inst = derive_instance(p, 10**6)
+        want = oracle_abs_central_moment(1.0, 0.05, inst.eps_n, inst.m_n, order)
+        assert _abs_central_moment(p, inst, order) == pytest.approx(want, rel=1e-9)
 
 
 class TestCentering:

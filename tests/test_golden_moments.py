@@ -75,7 +75,7 @@ GOLDEN = {
     'zone5': {
         'mu1(1)': '0x1.0000000000000p+0',
         'mu1(2)': '0x1.0000000000000p+1',
-        'mu1(0.5)': '0x1.c5bf891b4ef6ap-1',
+        'mu1(0.5)': '0x1.c5bf891b4ef6bp-1',
         'mu2(1)': '0x1.3880000000005p+13',
         'mu2(2)': '0x1.3678cecac000ep+38',
         'mu2(alpha)': '0x1.26c2a7792b5d2p+3',
@@ -133,7 +133,7 @@ GOLDEN = {
     'alpha1': {
         'mu1(1)': '0x1.0000000000000p+0',
         'mu1(2)': '0x1.0000000000000p+1',
-        'mu1(0.5)': '0x1.c5bf891b4ef6ap-1',
+        'mu1(0.5)': '0x1.c5bf891b4ef6bp-1',
         'mu2(1)': '0x1.804ed7e9bb2bbp+3',
         'mu2(2)': '0x1.40ee62354c7d1p+17',
         'mu2(alpha)': '0x1.804ed7e9bb2bbp+3',
@@ -162,7 +162,7 @@ GOLDEN = {
     'alpha1.5-lam0.3': {
         'mu1(1)': '0x1.aaaaaaaaaaaabp+1',
         'mu1(2)': '0x1.638e38e38e38ep+4',
-        'mu1(0.5)': '0x1.9e36a9c593d0bp+0',
+        'mu1(0.5)': '0x1.9e36a9c593d0cp+0',
         'mu2(1)': '0x1.7fced91755393p+1',
         'mu2(2)': '0x1.76d00000c939cp+12',
         'mu2(alpha)': '0x1.6cd7e3b1fb321p+4',

@@ -247,6 +247,27 @@ class TestSampler:
         result = ks_one_sample(draws, levy_cdf, level=0.01)
         assert result.statistic < 0.05
 
+    @pytest.mark.parametrize("alpha", [0.97, 0.99, 0.999])
+    def test_kanter_finite_near_alpha_one(self, alpha):
+        """1e5 draws are finite without a warning, and the first 1e4 pass a
+        one-sample KS against ``cdf`` at 1%."""
+        spec = StableLimitSpec(alpha=alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample_stable(RngStream(41), spec, False, size=10**5)
+        assert np.all(np.isfinite(draws))
+        result = ks_one_sample(np.sort(draws[:10**4]), lambda x: cdf(x, spec, False), level=0.01)
+        assert result.passed
+
+    def test_kanter_no_nan_or_zero_at_small_alpha(self):
+        """At alpha = 0.01, sin(theta)**(1/alpha) and (.../w)**99 each underflow
+        where their product does not; only draws beyond the double range may
+        be inf."""
+        with np.errstate(over="ignore"):
+            draws = sample_stable(RngStream(3), StableLimitSpec(alpha=0.01), False, size=10**6)
+        assert not np.any(np.isnan(draws))
+        assert np.all(draws > 0.0)
+
     def test_compensated_support_bound(self):
         spec = StableLimitSpec(alpha=0.5)
         draws = sample_stable(RngStream(55), spec, True, size=10**4)
